@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 from .coalition import (
@@ -311,6 +311,10 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise PolicyError(f"unknown generator field {key!r}")
         kwargs = dict(data)
         if "dimensions" in kwargs:
             kwargs["dimensions"] = tuple(kwargs["dimensions"])

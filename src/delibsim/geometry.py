@@ -2,8 +2,14 @@
 
 Points are coordinate tuples under Euclidean metrics and string ids under
 explicit (matrix-backed) metrics.  Every function here is pure; callers own
-all state.  Synthesized proposals must beat the status quo by at least
-``APPROVAL_MARGIN`` so that downstream strict comparisons are float-safe.
+all state.
+
+Joint feasibility is decided exactly by hull separation: agents share a
+proposal they all strictly approve iff the status quo lies outside the convex
+hull of their locations, and ``separated_proposal`` accepts a set only when
+the hull misses the status quo by more than ``APPROVAL_MARGIN``.
+``best_common_proposal`` (SLSQP multistart) reports the optimal worst-case
+approval margin for callers that need the margin itself.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ PointRef = Union[Coords, str]
 
 MAX_DIMENSION = 8
 APPROVAL_MARGIN = 1e-9
-HULL_TOLERANCE = 1e-9
 HULL_ITERATION_CAP = 10_000
-MINMAX_TOLERANCE = 1e-7
 
 _TRIANGLE_SLACK = 1e-12
 _WEIGHT_FLOOR = 1e-14

@@ -8,6 +8,7 @@ synthesis and the compromise search all probe the same sets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -22,6 +23,7 @@ from .geometry import (
     approves,
     best_common_proposal,
     distance,
+    separated_proposal,
 )
 
 STATUS_QUO_ID = "r"
@@ -124,7 +126,7 @@ class DeliberationSpace:
             self.proposals = tuple(candidate_pairs)
             self._proposal_loc = dict(self.proposals)
 
-        self._feasibility: dict[frozenset, object] = {}
+        self._feasibility: dict[frozenset, Optional[Coords]] = {}
         self._support_memo: dict[int, SupportReport] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -139,6 +141,8 @@ class DeliberationSpace:
                     f"{what}: expected {self.metric.dimension} coordinates, got {len(coords)}",
                     clause="space.dimension",
                 )
+            if not all(math.isfinite(c) for c in coords):
+                raise SpaceError(f"{what}: non-finite coordinate", clause="space.coords")
             return coords
         if not isinstance(loc, str):
             raise SpaceError(f"{what}: explicit metrics use point ids, not coordinates", clause="space.coords")
@@ -240,38 +244,27 @@ class DeliberationSpace:
         return best_common_proposal([self.agent_location(v) for v in ordered], self.status_quo)
 
     def feasible_witness(self, ids: Iterable[str]) -> Optional[Coords]:
-        """Witness point all given agents approve with margin, or None.
+        """Point every given agent strictly approves, or None.  Memoized per set.
 
-        Memoized per agent set.  A set is rejected without solving when some
-        pair of approval balls cannot intersect with the required margin.
+        Each approval ball {p : |p - v| < |v - r|} has the status quo r on its
+        boundary, so by Gordan's theorem the agents share an approved point
+        exactly when r lies outside the convex hull of their locations.  The
+        set is feasible when the hull misses r by more than
+        ``APPROVAL_MARGIN`` (the ``separated_proposal`` test) and every member
+        strictly approves the nearest hull point q, which is the witness: for
+        each member v, |v - q|^2 <= |v - r|^2 - |q - r|^2.
         """
         key = frozenset(ids)
         if not key:
             return None
         if key in self._feasibility:
-            cached = self._feasibility[key]
-            return cached if cached is None or isinstance(cached, tuple) else None
-        witness: Optional[Coords] = None
-        if not self._pairwise_prune(key):
-            report = self.common_report(key)
-            if report.feasible:
-                witness = report.witness
+            return self._feasibility[key]
+        ordered = self.sort_agents(key)
+        witness = separated_proposal([self.agent_location(v) for v in ordered], self.status_quo)
+        if witness is not None and not all(self.approves(v, witness) for v in ordered):
+            witness = None
         self._feasibility[key] = witness
         return witness
-
-    def _pairwise_prune(self, ids: frozenset) -> bool:
-        # max slack over a pair is at least (dist(u,v) - rad_u - rad_v) / 2
-        # at every point, so such a pair makes the whole set infeasible.
-        ordered = self.sort_agents(ids)
-        radii = {v: distance(self.agent_location(v), self.status_quo, self.metric) for v in ordered}
-        for v in ordered:
-            if radii[v] <= APPROVAL_MARGIN:
-                return True
-        for u, v in itertools.combinations(ordered, 2):
-            gap = distance(self.agent_location(u), self.agent_location(v), self.metric)
-            if (gap - radii[u] - radii[v]) / 2.0 >= -APPROVAL_MARGIN:
-                return True
-        return False
 
     # -- maximum support -------------------------------------------------------
 
@@ -279,10 +272,10 @@ class DeliberationSpace:
         """Maximum number of agents any single non-status-quo proposal attracts.
 
         Finite spaces count supporters of every candidate exactly.
-        Continuous spaces run a descending-cardinality subset search with
-        joint-feasibility checks (margin below -APPROVAL_MARGIN), pruning
-        subsets containing a pair of disjoint approval balls, and stop at the
-        first feasible subset of each cardinality.
+        Continuous spaces search agent subsets in descending cardinality with
+        the hull test of ``feasible_witness`` and stop at the first feasible
+        subset; agents sitting on the status quo approve nothing and are
+        skipped.
         """
         memo_key = oracle_cap if self.is_continuous else -1
         if memo_key in self._support_memo:

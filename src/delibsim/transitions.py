@@ -3,16 +3,17 @@
 Enumeration returns every available transition of a kind from a structure,
 in a deterministic order.  Finite proposal spaces are scanned exactly;
 continuous spaces synthesize witness proposals through the space's
-joint-feasibility solver.  ``apply_transition`` revalidates its input
-against the current structure, so a stale transition (enumerated from a
-different structure) fails loudly instead of corrupting the run.
+joint-feasibility test, ``feasible_witness``.  ``apply_transition``
+revalidates its input against the current structure, so a stale transition
+(enumerated from a different structure) fails loudly instead of corrupting
+the run.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .coalition import CoalitionStructure, DeliberativeCoalition
 from .space import DeliberationSpace, ProposalRef
@@ -75,10 +76,6 @@ def _active_indices(structure: CoalitionStructure) -> list[int]:
     ]
 
 
-def _sorted_members(space: DeliberationSpace, members: Iterable[str]) -> list[str]:
-    return space.sort_agents(members)
-
-
 def enumerate_single_agent(
     structure: CoalitionStructure, space: DeliberationSpace
 ) -> list[Transition]:
@@ -95,7 +92,7 @@ def enumerate_single_agent(
             if i == j or structure[j].size < src.size:
                 continue
             dst = structure[j]
-            for vid in _sorted_members(space, src.members):
+            for vid in space.sort_agents(src.members):
                 if space.approves(vid, dst.proposal):
                     out.append(
                         Transition(
@@ -128,7 +125,7 @@ def enumerate_merge(
     """Two coalitions unite behind a proposal every member of both approves.
 
     Finite spaces scan every candidate; continuous spaces synthesize one
-    witness per pair when the union's approval balls admit a margin point.
+    witness per pair when the union's members share an approved point.
     """
     out: list[Transition] = []
     active = _active_indices(structure)
@@ -168,7 +165,7 @@ def _subset_search_universe(structure, space, i, j) -> list[str]:
         raise SubsetCapError(
             f"compromise subset search capped at {SUBSET_SEARCH_CAP} agents, pair has {len(union)}"
         )
-    return _sorted_members(space, union)
+    return space.sort_agents(union)
 
 
 def enumerate_compromise(
@@ -229,7 +226,7 @@ def enumerate_subsume(
             size_i, size_j = structure[i].size, structure[j].size
             if space.is_continuous:
                 universe = _subset_search_universe(structure, space, i, j)
-                donors = _sorted_members(space, structure[i].members)
+                donors = space.sort_agents(structure[i].members)
                 seen_closures: set[frozenset[str]] = set()
                 min_donors = max(1, size_i - size_j + 1)
                 for take in range(size_i, min_donors - 1, -1):

@@ -89,6 +89,17 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--scenario", "/nope/missing.json")
         assert code == 2
 
+    def test_non_finite_coordinate(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format_version": 1, "space": {"metric": "euclidean", "dimension": 1},'
+            ' "status_quo": {"coords": [0.0]}, "proposals": "continuous",'
+            ' "agents": [{"id": "v1", "coords": [NaN]}, {"id": "v2", "coords": [1.0]}]}'
+        )
+        code, _, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert "agent 'v1': non-finite coordinate" in err
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(dump_scenario(*builtin_fixture("example2")))
@@ -184,6 +195,14 @@ class TestBatchCommand:
             capsys, "batch", "--gen", "{broken", "--policies", "merge",
         )
         assert code == 2
+
+
+    def test_unknown_gen_key(self, capsys):
+        code, _, err = run_cli(
+            capsys, "batch", "--gen", '{"foo": 1}', "--policies", "merge",
+        )
+        assert code == 2
+        assert "'foo'" in err
 
 
 class TestFixturesCommand:

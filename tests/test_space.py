@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from delibsim import (
     DeliberationSpace,
     EuclideanMetric,
     ExplicitMetric,
+    GeneratorConfig,
     OracleCapError,
     SpaceError,
     builtin_fixture,
+    generate_scenario,
+    separated_proposal,
 )
 
 from conftest import line_space
@@ -69,6 +74,12 @@ class TestValidation:
         with pytest.raises(SpaceError) as err:
             DeliberationSpace(EuclideanMetric(2), [("v", (1.0,))], (0.0, 0.0), None)
         assert err.value.clause == "space.dimension"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates(self, bad):
+        with pytest.raises(SpaceError) as err:
+            DeliberationSpace(EuclideanMetric(2), [("v", (1.0, bad))], (0.0, 0.0), None)
+        assert err.value.clause == "space.coords"
 
     def test_unknown_metric_point(self):
         with pytest.raises(SpaceError) as err:
@@ -176,7 +187,7 @@ class TestFeasibleWitness:
         assert witness is not None
         assert all(space.approves(v, witness) for v in ("v1", "v2", "v3"))
 
-    def test_prune_rejects_disjoint_pair(self):
+    def test_antipodal_pair_infeasible(self):
         space = line_space([2.0, -2.0, 3.0])
         assert space.feasible_witness({"v1", "v2"}) is None
         assert space.feasible_witness({"v1", "v2", "v3"}) is None
@@ -184,3 +195,42 @@ class TestFeasibleWitness:
     def test_empty_set(self):
         space = line_space([2.0])
         assert space.feasible_witness(set()) is None
+
+    def test_barely_separated_set_is_feasible(self):
+        # The hull of all seven agents misses r by 4.1e-5, but the best
+        # worst-case distance slack is only -2e-10: a margin test on that
+        # slack against APPROVAL_MARGIN wrongly reported m* = 6.
+        agents = [
+            (-2.9921, 1.6712, 3.9016),
+            (-0.6379, 4.4133, -2.8701),
+            (4.3364, -4.95, -2.4999),
+            (-0.5258, 1.7707, -1.1573),
+            (0.1389, 4.9702, -3.7312),
+            (2.8432, 3.3731, 0.7153),
+            (4.9004, -0.4325, 0.5457),
+        ]
+        space = DeliberationSpace(
+            EuclideanMetric(3),
+            [(f"v{i + 1}", loc) for i, loc in enumerate(agents)],
+            (0.0, 0.0, 0.0),
+            None,
+        )
+        report = space.max_support()
+        assert report.m_star == 7
+        (witness,) = report.witnesses
+        assert all(space.approves(v, witness) for v in space.agent_ids)
+
+    def test_hull_decision_matches_solver(self):
+        config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+        for seed in range(1, 31):
+            space, _ = generate_scenario(config, seed)
+            for size in range(1, 7):
+                for subset in itertools.combinations(space.agent_ids, size):
+                    witness = space.feasible_witness(subset)
+                    separated = separated_proposal(
+                        [space.agent_location(v) for v in subset], space.status_quo
+                    )
+                    assert (witness is None) == (separated is None), (seed, subset)
+                    assert (witness is not None) == space.common_report(subset).feasible, (seed, subset)
+                    if witness is not None:
+                        assert all(space.approves(v, witness) for v in subset), (seed, subset)
