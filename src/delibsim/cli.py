@@ -45,8 +45,8 @@ from .scenario_io import (
     ScenarioValidationError,
     builtin_fixture,
     dump_scenario,
-    encode_ref,
     encode_structure,
+    encode_transition,
     load_scenario,
     write_summary,
     write_trace,
@@ -167,15 +167,6 @@ def _transition_line(t: Transition) -> str:
     return f"  sources={list(t.sources)} movers={movers or '{}'} -> {target}"
 
 
-def _transition_json(t: Transition) -> dict:
-    return {
-        "kind": t.kind,
-        "sources": list(t.sources),
-        "proposal": encode_ref(t.target_proposal),
-        "movers": [sorted(m) for m in t.movers],
-    }
-
-
 def _cmd_run(args) -> int:
     space, initial = _load(args)
     policy = Policy.parse(args.policy, selector=args.selector, seed=args.seed)
@@ -205,7 +196,7 @@ def _cmd_transitions(args) -> int:
     space, structure = _load(args)
     if args.format == "json":
         payload = {
-            kind: [_transition_json(t) for t in enumerate_transitions(structure, space, kind)]
+            kind: [encode_transition(t) for t in enumerate_transitions(structure, space, kind)]
             for kind in args.kinds
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

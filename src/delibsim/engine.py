@@ -11,6 +11,7 @@ exists or the step cap trips, and the two outcomes are reported distinctly.
 from __future__ import annotations
 
 import logging
+import math
 import string
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
@@ -24,9 +25,16 @@ from .coalition import (
     potential,
     signature,
 )
-from .geometry import EuclideanMetric
+from .geometry import MAX_DIMENSION, EuclideanMetric
 from .space import STATUS_QUO_ID, DeliberationSpace
-from .transitions import TRANSITION_KINDS, Transition, apply_transition, enumerate_transitions
+from .transitions import (
+    POTENTIAL_KINDS,
+    SIGNATURE_KINDS,
+    TRANSITION_KINDS,
+    Transition,
+    apply_transition,
+    enumerate_transitions,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -200,13 +208,13 @@ def default_initial_structure(space: DeliberationSpace) -> CoalitionStructure:
 def _check_step_invariants(
     t: Transition, before: CoalitionStructure, after: CoalitionStructure
 ) -> None:
-    if t.kind in ("single_agent", "follow", "merge", "subsume"):
+    if t.kind in POTENTIAL_KINDS:
         gain = potential(after) - potential(before)
         if gain < 2:
             raise EngineInvariantError(
                 f"{t.kind} step raised the potential by {gain}, expected at least 2"
             )
-    if t.kind in ("compromise", "subsume"):
+    if t.kind in SIGNATURE_KINDS:
         if not lex_less(signature(before), signature(after)):
             raise EngineInvariantError(
                 f"{t.kind} step did not lex-increase the signature: "
@@ -300,14 +308,34 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.mode not in ("finite", "continuous"):
-            raise PolicyError(f"unknown generator mode {self.mode!r}")
+            raise PolicyError(
+                f"generator field 'mode' must be 'finite' or 'continuous', got {self.mode!r}"
+            )
+        for name in ("min_agents", "max_agents", "max_proposals"):
+            if type(getattr(self, name)) is not int:
+                raise PolicyError(
+                    f"generator field {name!r} must be an integer, got {getattr(self, name)!r}"
+                )
         if not (1 <= self.min_agents <= self.max_agents):
             raise PolicyError("agent bounds must satisfy 1 <= min <= max")
         if self.mode == "finite" and self.max_proposals < 1:
             raise PolicyError("finite generation needs at least one candidate")
-        if not self.dimensions or any(d < 1 for d in self.dimensions):
-            raise PolicyError("dimensions must be positive")
-        object.__setattr__(self, "dimensions", tuple(int(d) for d in self.dimensions))
+        dims = self.dimensions
+        if (
+            not isinstance(dims, (list, tuple))
+            or not dims
+            or any(type(d) is not int or not 1 <= d <= MAX_DIMENSION for d in dims)
+        ):
+            raise PolicyError(
+                f"generator field 'dimensions' must be a non-empty list of integers "
+                f"in 1..{MAX_DIMENSION}, got {dims!r}"
+            )
+        span = self.coordinate_range
+        if type(span) not in (int, float) or not math.isfinite(span):
+            raise PolicyError(
+                f"generator field 'coordinate_range' must be a finite number, got {span!r}"
+            )
+        object.__setattr__(self, "dimensions", tuple(dims))
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
@@ -315,10 +343,7 @@ class GeneratorConfig:
         for key in data:
             if key not in known:
                 raise PolicyError(f"unknown generator field {key!r}")
-        kwargs = dict(data)
-        if "dimensions" in kwargs:
-            kwargs["dimensions"] = tuple(kwargs["dimensions"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {

@@ -22,7 +22,14 @@ from .coalition import (
     signature,
 )
 from .space import DeliberationSpace, SupportReport
-from .transitions import TRANSITION_KINDS, Transition, apply_transition, enumerate_transitions
+from .transitions import (
+    POTENTIAL_KINDS,
+    SIGNATURE_KINDS,
+    TRANSITION_KINDS,
+    Transition,
+    apply_transition,
+    enumerate_transitions,
+)
 
 DEFAULT_STATE_CAP = 200_000
 
@@ -138,9 +145,9 @@ def naive_transitions(
                     for sub_i in _subsets(members_i):
                         for sub_j in _subsets(members_j):
                             set_i, set_j = frozenset(sub_i), frozenset(sub_j)
-                            if set_i != frozenset(space.supporters(structure[i].members, pid)):
+                            if set_i != space.supporters(structure[i].members, pid):
                                 continue
-                            if set_j != frozenset(space.supporters(structure[j].members, pid)):
+                            if set_j != space.supporters(structure[j].members, pid):
                                 continue
                             if len(set_i | set_j) <= max(structure[i].size, structure[j].size):
                                 continue
@@ -154,13 +161,13 @@ def naive_transitions(
                 continue
             members_i = space.sort_agents(structure[i].members)
             for pid in space.candidate_ids:
-                if frozenset(space.supporters(structure[j].members, pid)) != structure[j].members:
+                if space.supporters(structure[j].members, pid) != structure[j].members:
                     continue
                 for sub_i in _subsets(members_i):
                     set_i = frozenset(sub_i)
                     if not set_i:
                         continue
-                    if set_i != frozenset(space.supporters(structure[i].members, pid)):
+                    if set_i != space.supporters(structure[i].members, pid):
                         continue
                     if len(set_i) + structure[j].size <= structure[i].size:
                         continue
@@ -243,10 +250,10 @@ def explore(
         for move in moves:
             successor = apply_transition(state, space, move)
             edges += 1
-            if move.kind in ("single_agent", "follow", "merge", "subsume"):
+            if move.kind in POTENTIAL_KINDS:
                 if potential(successor) <= potential(state):
                     potential_monotone = False
-            if move.kind in ("compromise", "subsume"):
+            if move.kind in SIGNATURE_KINDS:
                 if not lex_less(signature(state), signature(successor)):
                     signature_monotone = False
             successor_key = canonical_key(successor)

@@ -230,6 +230,16 @@ def _decode_structure(entries, what: str) -> CoalitionStructure:
 
 # -- traces -----------------------------------------------------------------------
 
+def encode_transition(t: Transition) -> dict:
+    """JSON form of a transition: kind, sources, proposal and sorted movers."""
+    return {
+        "kind": t.kind,
+        "sources": list(t.sources),
+        "proposal": encode_ref(t.target_proposal),
+        "movers": [sorted(m) for m in t.movers],
+    }
+
+
 def write_trace(trace: RunTrace) -> str:
     """Serialize a run trace; identical runs give byte-identical text."""
     payload = {
@@ -245,10 +255,7 @@ def write_trace(trace: RunTrace) -> str:
         "steps": [
             {
                 "index": step.index,
-                "kind": step.transition.kind,
-                "sources": list(step.transition.sources),
-                "proposal": encode_ref(step.transition.target_proposal),
-                "movers": [sorted(m) for m in step.transition.movers],
+                **encode_transition(step.transition),
                 "potential": step.potential,
                 "signature": list(step.signature),
             }

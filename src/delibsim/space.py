@@ -28,7 +28,7 @@ from .geometry import (
 
 STATUS_QUO_ID = "r"
 
-DEFAULT_ORACLE_CAP = 16
+ORACLE_CAP = 16
 
 ProposalRef = Union[str, Coords]
 PointRefLike = Union[str, Sequence]
@@ -127,7 +127,7 @@ class DeliberationSpace:
             self._proposal_loc = dict(self.proposals)
 
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
-        self._support_memo: dict[int, SupportReport] = {}
+        self._support: Optional[SupportReport] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -228,9 +228,9 @@ class DeliberationSpace:
             )
         return {pid for pid in self.candidate_ids if self.approves(vid, pid)}
 
-    def supporters(self, ids: Iterable[str], ref: ProposalRef) -> set[str]:
+    def supporters(self, ids: Iterable[str], ref: ProposalRef) -> frozenset[str]:
         """Subset of the given agents that strictly approve the proposal."""
-        return {vid for vid in ids if self.approves(vid, ref)}
+        return frozenset(vid for vid in ids if self.approves(vid, ref))
 
     # -- joint feasibility (continuous synthesis) ------------------------------
 
@@ -268,23 +268,21 @@ class DeliberationSpace:
 
     # -- maximum support -------------------------------------------------------
 
-    def max_support(self, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SupportReport:
+    def max_support(self) -> SupportReport:
         """Maximum number of agents any single non-status-quo proposal attracts.
 
         Finite spaces count supporters of every candidate exactly.
         Continuous spaces search agent subsets in descending cardinality with
         the hull test of ``feasible_witness`` and stop at the first feasible
         subset; agents sitting on the status quo approve nothing and are
-        skipped.
+        skipped.  The continuous search refuses spaces of more than
+        ``ORACLE_CAP`` agents.  Memoized.
         """
-        memo_key = oracle_cap if self.is_continuous else -1
-        if memo_key in self._support_memo:
-            return self._support_memo[memo_key]
-        report = self._compute_max_support(oracle_cap)
-        self._support_memo[memo_key] = report
-        return report
+        if self._support is None:
+            self._support = self._compute_max_support()
+        return self._support
 
-    def _compute_max_support(self, oracle_cap: int) -> SupportReport:
+    def _compute_max_support(self) -> SupportReport:
         if not self.is_continuous:
             best = 0
             witnesses: list[str] = []
@@ -299,9 +297,9 @@ class DeliberationSpace:
                 return SupportReport(0, ())
             return SupportReport(best, tuple(witnesses))
 
-        if len(self.agents) > oracle_cap:
+        if len(self.agents) > ORACLE_CAP:
             raise OracleCapError(
-                f"continuous support oracle capped at {oracle_cap} agents, space has {len(self.agents)}"
+                f"continuous support oracle capped at {ORACLE_CAP} agents, space has {len(self.agents)}"
             )
         eligible = [
             vid

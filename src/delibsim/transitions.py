@@ -1,24 +1,31 @@
 """The five coalition transition operators: enumeration and application.
 
 Enumeration returns every available transition of a kind from a structure,
-in a deterministic order.  Finite proposal spaces are scanned exactly;
-continuous spaces synthesize witness proposals through the space's
-joint-feasibility test, ``feasible_witness``.  ``apply_transition``
-revalidates its input against the current structure, so a stale transition
-(enumerated from a different structure) fails loudly instead of corrupting
-the run.
+in a deterministic order.  The rule of each pair move (merge, compromise,
+subsume) is written once, in ``_pair_movers``; the enumerators and
+revalidation both call it.  Only the targets it is tried on differ between
+spaces (``_pair_targets``): finite spaces offer every candidate, continuous
+spaces the witnesses of the space's joint-feasibility test,
+``feasible_witness``.  ``apply_transition`` revalidates its input against
+the current structure, so a stale transition (enumerated from a different
+structure) fails loudly instead of corrupting the run.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .coalition import CoalitionStructure, DeliberativeCoalition
 from .space import DeliberationSpace, ProposalRef
 
 TRANSITION_KINDS = ("single_agent", "follow", "merge", "compromise", "subsume")
+
+# Kinds whose every step raises the potential by at least 2, and kinds whose
+# every step strictly lex-increases the signature.
+POTENTIAL_KINDS = ("single_agent", "follow", "merge", "subsume")
+SIGNATURE_KINDS = ("compromise", "subsume")
 
 SUBSET_SEARCH_CAP = 20
 
@@ -85,20 +92,15 @@ def enumerate_single_agent(
     status quo coalitions never qualify.
     """
     out: list[Transition] = []
-    active = _active_indices(structure)
-    for i in active:
-        src = structure[i]
-        for j in active:
-            if i == j or structure[j].size < src.size:
-                continue
-            dst = structure[j]
-            for vid in space.sort_agents(src.members):
-                if space.approves(vid, dst.proposal):
-                    out.append(
-                        Transition(
-                            "single_agent", (i, j), dst.proposal, (frozenset({vid}), frozenset())
-                        )
-                    )
+    for i, j in itertools.permutations(_active_indices(structure), 2):
+        src, dst = structure[i], structure[j]
+        if dst.size < src.size:
+            continue
+        for vid in space.sort_agents(src.members):
+            if space.approves(vid, dst.proposal):
+                out.append(
+                    Transition("single_agent", (i, j), dst.proposal, (frozenset({vid}), frozenset()))
+                )
     return out
 
 
@@ -107,175 +109,137 @@ def enumerate_follow(
 ) -> list[Transition]:
     """Whole-coalition moves: every member approves the destination proposal."""
     out: list[Transition] = []
-    active = _active_indices(structure)
-    for i in active:
-        src = structure[i]
-        for j in active:
-            if i == j:
-                continue
-            dst = structure[j]
-            if all(space.approves(vid, dst.proposal) for vid in src.members):
-                out.append(Transition("follow", (i, j), dst.proposal, (src.members, frozenset())))
+    for i, j in itertools.permutations(_active_indices(structure), 2):
+        src, dst = structure[i], structure[j]
+        if all(space.approves(vid, dst.proposal) for vid in src.members):
+            out.append(Transition("follow", (i, j), dst.proposal, (src.members, frozenset())))
     return out
 
 
-def enumerate_merge(
-    structure: CoalitionStructure, space: DeliberationSpace
-) -> list[Transition]:
-    """Two coalitions unite behind a proposal every member of both approves.
-
-    Finite spaces scan every candidate; continuous spaces synthesize one
-    witness per pair when the union's members share an approved point.
-    """
-    out: list[Transition] = []
-    active = _active_indices(structure)
-    for i, j in itertools.combinations(active, 2):
-        union = structure[i].members | structure[j].members
-        if space.is_continuous:
-            witness = space.feasible_witness(union)
-            if witness is not None:
-                out.append(
-                    Transition("merge", (i, j), witness, (structure[i].members, structure[j].members))
-                )
-        else:
-            for pid in space.candidate_ids:
-                if all(space.approves(vid, pid) for vid in union):
-                    out.append(
-                        Transition("merge", (i, j), pid, (structure[i].members, structure[j].members))
-                    )
-    return out
-
-
-def _closure_transition(
-    structure: CoalitionStructure,
-    space: DeliberationSpace,
+def _pair_movers(
     kind: str,
-    i: int,
-    j: int,
-    witness,
-) -> Transition:
-    movers_i = frozenset(space.supporters(structure[i].members, witness))
-    movers_j = frozenset(space.supporters(structure[j].members, witness))
-    return Transition(kind, (i, j), witness, (movers_i, movers_j))
+    src: DeliberativeCoalition,
+    dst: DeliberativeCoalition,
+    space: DeliberationSpace,
+    target: ProposalRef,
+) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """The mover sets of a legal ``kind`` move of ``src`` and ``dst`` to ``target``.
 
-
-def _subset_search_universe(structure, space, i, j) -> list[str]:
-    union = structure[i].members | structure[j].members
-    if len(union) > SUBSET_SEARCH_CAP:
-        raise SubsetCapError(
-            f"compromise subset search capped at {SUBSET_SEARCH_CAP} agents, pair has {len(union)}"
-        )
-    return space.sort_agents(union)
-
-
-def enumerate_compromise(
-    structure: CoalitionStructure, space: DeliberationSpace
-) -> list[Transition]:
-    """All approvers of some proposal leave a coalition pair to back it.
-
-    The movers are exactly the approvers of the target within the union of
-    the pair; their number must strictly exceed both coalition sizes, and
-    non-approvers stay behind with the old proposals.  Finite spaces scan
-    every candidate.  Continuous spaces search target subsets in descending
-    cardinality and emit one representative transition per distinct mover
-    closure, using the subset's feasibility witness as the target.
+    Returns None when the move breaks the rule.  Merge moves both coalitions
+    whole, and every member must approve the target.  Compromise moves the
+    approvers of the target in both coalitions, and they must outnumber each
+    source.  Subsume moves ``dst`` whole, all of whose members must approve
+    the target, plus the approvers in ``src``, of which there must be at
+    least one, and the result must outnumber ``src``.
     """
-    out: list[Transition] = []
-    active = _active_indices(structure)
-    for i, j in itertools.combinations(active, 2):
-        size_i, size_j = structure[i].size, structure[j].size
-        threshold = max(size_i, size_j)
-        if space.is_continuous:
-            universe = _subset_search_universe(structure, space, i, j)
-            seen_closures: set[frozenset[str]] = set()
-            for size in range(len(universe), threshold, -1):
-                for subset in itertools.combinations(universe, size):
-                    witness = space.feasible_witness(subset)
-                    if witness is None:
-                        continue
-                    transition = _closure_transition(structure, space, "compromise", i, j, witness)
-                    closure = transition.moving_agents
-                    if len(closure) <= threshold or closure in seen_closures:
-                        continue
-                    seen_closures.add(closure)
-                    out.append(transition)
+    if kind == "merge":
+        if all(space.approves(vid, target) for vid in src.members | dst.members):
+            return src.members, dst.members
+        return None
+    if kind == "compromise":
+        movers_i = space.supporters(src.members, target)
+        movers_j = space.supporters(dst.members, target)
+        if len(movers_i) + len(movers_j) > max(src.size, dst.size):
+            return movers_i, movers_j
+        return None
+    if space.supporters(dst.members, target) != dst.members:
+        return None
+    movers_i = space.supporters(src.members, target)
+    if movers_i and len(movers_i) + dst.size > src.size:
+        return movers_i, dst.members
+    return None
+
+
+def _pair_targets(
+    kind: str,
+    src: DeliberativeCoalition,
+    dst: DeliberativeCoalition,
+    space: DeliberationSpace,
+) -> Iterator[ProposalRef]:
+    """Target proposals to test ``_pair_movers`` on, in enumeration order.
+
+    Finite spaces offer every candidate id.  Continuous spaces offer the
+    feasibility witness of each agent subset that could back the move, and
+    skip subsets with none: for merge the union of the pair; for compromise
+    the subsets of the union larger than both sources, in descending size;
+    for subsume the donor subsets of ``src``, largest first, each joined
+    with all of ``dst``.
+    """
+    if not space.is_continuous:
+        yield from space.candidate_ids
+        return
+    union = src.members | dst.members
+    if kind == "merge":
+        subsets: Iterable[Iterable[str]] = (union,)
+    else:
+        if len(union) > SUBSET_SEARCH_CAP:
+            raise SubsetCapError(
+                f"{kind} subset search capped at {SUBSET_SEARCH_CAP} agents, pair has {len(union)}"
+            )
+        if kind == "compromise":
+            universe = space.sort_agents(union)
+            subsets = (
+                subset
+                for size in range(len(universe), max(src.size, dst.size), -1)
+                for subset in itertools.combinations(universe, size)
+            )
         else:
-            for pid in space.candidate_ids:
-                movers_i = frozenset(space.supporters(structure[i].members, pid))
-                movers_j = frozenset(space.supporters(structure[j].members, pid))
-                if len(movers_i | movers_j) > threshold:
-                    out.append(Transition("compromise", (i, j), pid, (movers_i, movers_j)))
-    return out
+            donors = space.sort_agents(src.members)
+            min_donors = max(1, src.size - dst.size + 1)
+            subsets = (
+                dst.members.union(chosen)
+                for take in range(src.size, min_donors - 1, -1)
+                for chosen in itertools.combinations(donors, take)
+            )
+    for subset in subsets:
+        witness = space.feasible_witness(subset)
+        if witness is not None:
+            yield witness
 
 
-def enumerate_subsume(
-    structure: CoalitionStructure, space: DeliberationSpace
+def _enumerate_pair_moves(
+    structure: CoalitionStructure, space: DeliberationSpace, kind: str
 ) -> list[Transition]:
-    """Compromises in which the second coalition moves whole.
+    """Merge, compromise or subsume moves: each target that passes the rule.
 
-    Ordered pairs: every member of the second coalition approves the target,
-    at least one member of the first does, and the resulting coalition is
-    strictly larger than the first.
+    Merge and compromise take unordered pairs, subsume ordered ones.  In a
+    continuous space many witnesses give the same movers, and only the first
+    witness for each distinct pair of mover sets is kept.
     """
     out: list[Transition] = []
     active = _active_indices(structure)
-    for i in active:
-        for j in active:
-            if i == j:
+    pairs = (
+        itertools.permutations(active, 2)
+        if kind == "subsume"
+        else itertools.combinations(active, 2)
+    )
+    dedupe = space.is_continuous
+    for i, j in pairs:
+        src, dst = structure[i], structure[j]
+        seen: set[tuple[frozenset[str], frozenset[str]]] = set()
+        for target in _pair_targets(kind, src, dst, space):
+            movers = _pair_movers(kind, src, dst, space, target)
+            if movers is None:
                 continue
-            size_i, size_j = structure[i].size, structure[j].size
-            if space.is_continuous:
-                universe = _subset_search_universe(structure, space, i, j)
-                donors = space.sort_agents(structure[i].members)
-                seen_closures: set[frozenset[str]] = set()
-                min_donors = max(1, size_i - size_j + 1)
-                for take in range(size_i, min_donors - 1, -1):
-                    for chosen in itertools.combinations(donors, take):
-                        subset = set(chosen) | structure[j].members
-                        witness = space.feasible_witness(subset)
-                        if witness is None:
-                            continue
-                        transition = _closure_transition(structure, space, "subsume", i, j, witness)
-                        movers_i, movers_j = transition.movers
-                        if movers_j != structure[j].members or not movers_i:
-                            continue
-                        if len(movers_i) + size_j <= size_i:
-                            continue
-                        closure = transition.moving_agents
-                        if closure in seen_closures:
-                            continue
-                        seen_closures.add(closure)
-                        out.append(transition)
-            else:
-                for pid in space.candidate_ids:
-                    movers_j = frozenset(space.supporters(structure[j].members, pid))
-                    if movers_j != structure[j].members:
-                        continue
-                    movers_i = frozenset(space.supporters(structure[i].members, pid))
-                    if not movers_i or len(movers_i) + size_j <= size_i:
-                        continue
-                    out.append(Transition("subsume", (i, j), pid, (movers_i, movers_j)))
+            if dedupe:
+                if movers in seen:
+                    continue
+                seen.add(movers)
+            out.append(Transition(kind, (i, j), target, movers))
     return out
-
-
-_ENUMERATORS = {
-    "single_agent": enumerate_single_agent,
-    "follow": enumerate_follow,
-    "merge": enumerate_merge,
-    "compromise": enumerate_compromise,
-    "subsume": enumerate_subsume,
-}
 
 
 def enumerate_transitions(
     structure: CoalitionStructure, space: DeliberationSpace, kind: str
 ) -> list[Transition]:
-    """Dispatch to the enumerator for one transition kind."""
-    try:
-        enumerator = _ENUMERATORS[kind]
-    except KeyError:
-        raise TransitionError(f"unknown transition kind {kind!r}") from None
-    return enumerator(structure, space)
+    """Every available transition of one kind, in a deterministic order."""
+    if kind == "single_agent":
+        return enumerate_single_agent(structure, space)
+    if kind == "follow":
+        return enumerate_follow(structure, space)
+    if kind in TRANSITION_KINDS:
+        return _enumerate_pair_moves(structure, space, kind)
+    raise TransitionError(f"unknown transition kind {kind!r}")
 
 
 def _revalidate(
@@ -315,27 +279,8 @@ def _revalidate(
             fail("target proposal no longer matches the destination")
         if not all(space.approves(vid, dst.proposal) for vid in src.members):
             fail("some member does not approve the destination proposal")
-    elif t.kind == "merge":
-        if movers_i != src.members or movers_j != dst.members:
-            fail("merge moves both coalitions whole")
-        if not all(space.approves(vid, t.target_proposal) for vid in src.members | dst.members):
-            fail("some member does not approve the merge proposal")
-    elif t.kind == "compromise":
-        expect_i = frozenset(space.supporters(src.members, t.target_proposal))
-        expect_j = frozenset(space.supporters(dst.members, t.target_proposal))
-        if movers_i != expect_i or movers_j != expect_j:
-            fail("movers are not exactly the approvers of the target")
-        if len(movers_i | movers_j) <= max(src.size, dst.size):
-            fail("the new coalition would not outgrow both sources")
-    elif t.kind == "subsume":
-        expect_i = frozenset(space.supporters(src.members, t.target_proposal))
-        expect_j = frozenset(space.supporters(dst.members, t.target_proposal))
-        if movers_j != dst.members or expect_j != dst.members:
-            fail("the second coalition must move whole")
-        if movers_i != expect_i or not movers_i:
-            fail("movers are not exactly the approvers of the target")
-        if len(movers_i) + dst.size <= src.size:
-            fail("the new coalition would not outgrow the first source")
+    elif t.movers != _pair_movers(t.kind, src, dst, space, t.target_proposal):
+        fail("movers are not the ones the rule gives for the target")
 
 
 def apply_transition(

@@ -204,6 +204,22 @@ class TestBatchCommand:
         assert code == 2
         assert "'foo'" in err
 
+    @pytest.mark.parametrize("gen, field", [
+        ('{"mode": 3}', "mode"),
+        ('{"max_agents": "x"}', "max_agents"),
+        ('{"min_agents": true}', "min_agents"),
+        ('{"max_proposals": 2.5}', "max_proposals"),
+        ('{"dimensions": 3}', "dimensions"),
+        ('{"dimensions": [9]}', "dimensions"),
+        ('{"dimensions": [1, "2"]}', "dimensions"),
+        ('{"coordinate_range": "a"}', "coordinate_range"),
+        ('{"coordinate_range": NaN}', "coordinate_range"),
+    ])
+    def test_bad_gen_value(self, capsys, gen, field):
+        code, _, err = run_cli(capsys, "batch", "--gen", gen, "--policies", "merge")
+        assert code == 2
+        assert f"'{field}'" in err
+
 
 class TestFixturesCommand:
     def test_list(self, capsys):

@@ -172,8 +172,6 @@ class TestMaxSupport:
         space = line_space([float(i + 1) for i in range(17)])
         with pytest.raises(OracleCapError):
             space.max_support()
-        report = space.max_support(oracle_cap=17)
-        assert report.m_star == 17
 
     def test_memoized(self):
         space = line_space([2.0, 6.0])

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from delibsim import (
+    TRANSITION_KINDS,
+    GeneratorConfig,
     StaleTransitionError,
     SubsetCapError,
     Transition,
@@ -12,6 +16,7 @@ from delibsim import (
     apply_transition,
     builtin_fixture,
     enumerate_transitions,
+    generate_scenario,
 )
 
 from conftest import line_space, structure
@@ -259,3 +264,85 @@ class TestApplyGuards:
         space, init = builtin_fixture("example1")
         with pytest.raises(TransitionError):
             enumerate_transitions(init, space, "teleport")
+
+
+def _leftover_line():
+    space = line_space([1.0, 0.3, 1.2, 1.1], {"a": 0.4, "b": 1.1})
+    return space, structure((("v1", "v2"), "a"), (("v3", "v4"), "b"))
+
+
+def _two_pairs_continuous():
+    space = line_space([2.0, 2.5, 6.0, 3.0, -1.0])
+    s = structure((("v1", "v2"), (2.2,)), (("v3", "v4"), (6.0,)), (("v5",), (-1.0,)))
+    return space, s
+
+
+# (scenario, kind, sources and target of a legal move, an agent outside its
+# movers, sources and target whose exact approvers break the rule: the
+# second coalition does not move whole, the movers do not outnumber a
+# source, or no member of the first coalition moves)
+FORGERY_CASES = {
+    "finite-compromise": (
+        lambda: builtin_fixture("example4"), "compromise", (0, 1), "p", "v5", (0, 1), "a",
+    ),
+    "finite-subsume": (_leftover_line, "subsume", (0, 1), "b", "v2", (1, 0), "b"),
+    "continuous-compromise": (
+        _two_pairs_continuous, "compromise", (0, 1), (2.0,), "v5", (0, 1), (5.0,),
+    ),
+    "continuous-subsume": (
+        _two_pairs_continuous, "subsume", (0, 1), (2.0,), "v5", (2, 0), (2.0,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGERY_CASES))
+class TestForgedPairMoves:
+    def build_case(self, case):
+        build, kind, sources, target, outsider, bad_sources, bad_target = FORGERY_CASES[case]
+        space, s = build()
+        (legal,) = [
+            t for t in by_kind(s, space, kind)
+            if t.sources == sources and t.target_proposal == target
+        ]
+        return space, s, legal, outsider, bad_sources, bad_target
+
+    def test_legal_move_applies(self, case):
+        space, s, legal, *_ = self.build_case(case)
+        apply_transition(s, space, legal)
+
+    def test_added_mover_rejected(self, case):
+        space, s, legal, outsider, *_ = self.build_case(case)
+        movers_i, movers_j = legal.movers
+        forged = replace(legal, movers=(movers_i | {outsider}, movers_j))
+        with pytest.raises(StaleTransitionError):
+            apply_transition(s, space, forged)
+
+    def test_dropped_mover_rejected(self, case):
+        space, s, legal, *_ = self.build_case(case)
+        movers_i, movers_j = legal.movers
+        forged = replace(legal, movers=(movers_i - {min(movers_i)}, movers_j))
+        with pytest.raises(StaleTransitionError):
+            apply_transition(s, space, forged)
+
+    def test_rule_breaking_target_rejected(self, case):
+        space, s, legal, _, bad_sources, bad_target = self.build_case(case)
+        i, j = bad_sources
+        forged = Transition(
+            legal.kind, bad_sources, bad_target,
+            (space.supporters(s[i].members, bad_target), space.supporters(s[j].members, bad_target)),
+        )
+        with pytest.raises(StaleTransitionError):
+            apply_transition(s, space, forged)
+
+
+def test_enumerated_continuous_moves_apply():
+    """Every move enumerated from a generated initial structure revalidates."""
+    config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+    applied = 0
+    for seed in range(1, 31):
+        space, initial = generate_scenario(config, seed)
+        for kind in TRANSITION_KINDS:
+            for t in enumerate_transitions(initial, space, kind):
+                apply_transition(initial, space, t)
+                applied += 1
+    assert applied > 0
