@@ -31,7 +31,7 @@ from .engine import (
     summarize,
 )
 from .geometry import MetricError, SolverError
-from .oracle import DEFAULT_STATE_CAP, explore
+from .oracle import DEFAULT_STATE_CAP, OracleError, explore
 from .space import DeliberationSpace, OracleCapError, SpaceError
 from .transitions import (
     TRANSITION_KINDS,
@@ -334,8 +334,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ScenarioFormatError, ScenarioValidationError, MetricError,
-            SpaceError, PolicyError) as exc:
-        print(f"delibsim: invalid input: {exc}", file=sys.stderr)
+            SpaceError, PolicyError, OracleError) as exc:
+        clause = getattr(exc, "clause", None)
+        where = f" ({clause})" if clause else ""
+        print(f"delibsim: invalid input{where}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"delibsim: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ class EuclideanMetric:
     dimension: int
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or not 1 <= self.dimension <= MAX_DIMENSION:
+        if type(self.dimension) is not int or not 1 <= self.dimension <= MAX_DIMENSION:
             raise MetricError(
                 f"dimension must be an integer in 1..{MAX_DIMENSION}, got {self.dimension!r}",
                 clause="space.dimension",
@@ -78,7 +78,12 @@ class ExplicitMetric:
         k = len(ids)
         if k == 0:
             raise MetricError("explicit metric needs at least one point", clause="metric.ids")
-        rows = tuple(tuple(float(x) for x in row) for row in self.matrix)
+        try:
+            rows = tuple(tuple(float(x) for x in row) for row in self.matrix)
+        except (TypeError, ValueError):
+            raise MetricError(
+                "distance matrix must be a list of rows of numbers", clause="metric.shape"
+            ) from None
         if len(rows) != k or any(len(row) != k for row in rows):
             raise MetricError(f"distance matrix must be {k}x{k}", clause="metric.shape")
         for i in range(k):

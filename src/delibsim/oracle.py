@@ -217,6 +217,8 @@ def explore(
     """
     if space.is_continuous:
         raise OracleError("exploration needs a finite proposal list")
+    if state_cap < 1:
+        raise OracleError(f"state cap must be at least 1, got {state_cap}")
     for kind in kinds:
         if kind not in TRANSITION_KINDS:
             raise OracleError(f"unknown transition kind {kind!r}")

@@ -75,6 +75,14 @@ def encode_ref(ref) -> dict:
     return {"coords": list(ref)}
 
 
+def _decode_coords(raw, what: str) -> tuple[float, ...]:
+    if not isinstance(raw, list) or not all(type(c) in (int, float) for c in raw):
+        raise ScenarioValidationError(
+            f"{what}: coords must be a list of numbers, got {raw!r}", clause="space.coords"
+        )
+    return tuple(float(c) for c in raw)
+
+
 def _decode_ref(data, what: str):
     if isinstance(data, str):
         return data
@@ -82,13 +90,13 @@ def _decode_ref(data, what: str):
         if "id" in data:
             return str(data["id"])
         if "coords" in data:
-            return tuple(float(c) for c in data["coords"])
+            return _decode_coords(data["coords"], what)
     raise ScenarioFormatError(f"unreadable proposal reference in {what}: {data!r}", clause="format")
 
 
 def _decode_location(entry: dict, what: str):
     if "coords" in entry:
-        return tuple(float(c) for c in entry["coords"])
+        return _decode_coords(entry["coords"], what)
     if "point" in entry:
         return str(entry["point"])
     raise ScenarioFormatError(f"{what} needs either 'coords' or 'point'", clause="format")
@@ -120,12 +128,14 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
     metric_kind = space_block["metric"]
     try:
         if metric_kind == "euclidean":
-            metric = EuclideanMetric(int(space_block.get("dimension", 0)))
+            metric = EuclideanMetric(space_block.get("dimension", 0))
         elif metric_kind == "explicit":
-            metric = ExplicitMetric(
-                tuple(str(p) for p in space_block.get("points", ())),
-                tuple(tuple(row) for row in space_block.get("matrix", ())),
-            )
+            points = space_block.get("points", [])
+            if not isinstance(points, list):
+                raise ScenarioValidationError(
+                    f"points must be a list of ids, got {points!r}", clause="metric.ids"
+                )
+            metric = ExplicitMetric(tuple(str(p) for p in points), space_block.get("matrix", ()))
         else:
             raise ScenarioValidationError(
                 f"unknown metric kind {metric_kind!r}", clause="metric.kind"
@@ -140,6 +150,8 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
         raw_quo = {"coords": raw_quo}
     status_quo = _decode_location(raw_quo, "status_quo")
 
+    if not isinstance(data["agents"], list):
+        raise ScenarioFormatError("agents must be a list", clause="format")
     agents = []
     for entry in data["agents"]:
         if not isinstance(entry, dict) or "id" not in entry:
@@ -166,16 +178,20 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
         raise ScenarioValidationError(str(exc), clause=exc.clause) from None
 
     if "initial_structure" in data and data["initial_structure"] is not None:
-        pairs = []
-        for entry in data["initial_structure"]:
-            if not isinstance(entry, dict) or "proposal" not in entry or "members" not in entry:
-                raise ScenarioFormatError(
-                    "each coalition needs 'proposal' and 'members'", clause="format"
-                )
-            pairs.append(
-                (tuple(str(m) for m in entry["members"]), _decode_ref(entry["proposal"], "coalition"))
+        entries = data["initial_structure"]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "proposal" in e and isinstance(e.get("members"), list)
+            for e in entries
+        ):
+            raise ScenarioFormatError(
+                "initial_structure must be a list of coalitions, each with 'proposal' "
+                "and a 'members' list",
+                clause="format",
             )
-        structure = CoalitionStructure.from_pairs(pairs)
+        structure = CoalitionStructure.from_pairs(
+            (tuple(str(m) for m in e["members"]), _decode_ref(e["proposal"], "coalition"))
+            for e in entries
+        )
         violations = validate_structure(structure, space)
         if violations:
             first = violations[0]

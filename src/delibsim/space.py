@@ -176,9 +176,6 @@ class DeliberationSpace:
         except KeyError:
             raise SpaceError(f"unknown agent id {vid!r}", clause="space.unknown_id") from None
 
-    def agent_order(self, vid: str) -> int:
-        return self._agent_order[vid]
-
     def proposal_location(self, ref: ProposalRef):
         """Resolve a proposal reference (id or coordinates) to a location."""
         if isinstance(ref, str):

@@ -1,11 +1,13 @@
 """The five coalition transition operators: enumeration and application.
 
 Enumeration returns every available transition of a kind from a structure,
-in a deterministic order.  The rule of each pair move (merge, compromise,
-subsume) is written once, in ``_pair_movers``; the enumerators and
-revalidation both call it.  Only the targets it is tried on differ between
-spaces (``_pair_targets``): finite spaces offer every candidate, continuous
-spaces the witnesses of the space's joint-feasibility test,
+in a deterministic order.  The rule of every kind (single_agent, follow,
+merge, compromise, subsume) is written once, in ``_legal_movers``, which
+gives the mover sets of each legal move of a pair of coalitions to a
+target; enumeration and revalidation both call it.  Only the targets it is
+tried on differ (``_pair_targets``): single_agent and follow take the
+destination's proposal, and the pair moves every candidate of a finite
+space or the witnesses of a continuous space's joint-feasibility test,
 ``feasible_witness``.  ``apply_transition`` revalidates its input against
 the current structure, so a stale transition (enumerated from a different
 structure) fails loudly instead of corrupting the run.
@@ -83,71 +85,57 @@ def _active_indices(structure: CoalitionStructure) -> list[int]:
     ]
 
 
-def enumerate_single_agent(
-    structure: CoalitionStructure, space: DeliberationSpace
-) -> list[Transition]:
-    """Moves of one agent into a coalition at least as large as its own.
-
-    The agent must approve the destination proposal; moves into or out of
-    status quo coalitions never qualify.
-    """
-    out: list[Transition] = []
-    for i, j in itertools.permutations(_active_indices(structure), 2):
-        src, dst = structure[i], structure[j]
-        if dst.size < src.size:
-            continue
-        for vid in space.sort_agents(src.members):
-            if space.approves(vid, dst.proposal):
-                out.append(
-                    Transition("single_agent", (i, j), dst.proposal, (frozenset({vid}), frozenset()))
-                )
-    return out
-
-
-def enumerate_follow(
-    structure: CoalitionStructure, space: DeliberationSpace
-) -> list[Transition]:
-    """Whole-coalition moves: every member approves the destination proposal."""
-    out: list[Transition] = []
-    for i, j in itertools.permutations(_active_indices(structure), 2):
-        src, dst = structure[i], structure[j]
-        if all(space.approves(vid, dst.proposal) for vid in src.members):
-            out.append(Transition("follow", (i, j), dst.proposal, (src.members, frozenset())))
-    return out
-
-
-def _pair_movers(
+def _legal_movers(
     kind: str,
     src: DeliberativeCoalition,
     dst: DeliberativeCoalition,
     space: DeliberationSpace,
     target: ProposalRef,
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """The mover sets of a legal ``kind`` move of ``src`` and ``dst`` to ``target``.
+) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The mover sets of every legal ``kind`` move of ``src`` and ``dst`` to ``target``.
 
-    Returns None when the move breaks the rule.  Merge moves both coalitions
-    whole, and every member must approve the target.  Compromise moves the
-    approvers of the target in both coalitions, and they must outnumber each
-    source.  Subsume moves ``dst`` whole, all of whose members must approve
-    the target, plus the approvers in ``src``, of which there must be at
-    least one, and the result must outnumber ``src``.
+    Single_agent and follow keep the destination's proposal, so they take
+    no other target.  Single_agent moves one approver of the target out of
+    ``src`` into a ``dst`` at least as large, one move per approver in
+    declaration order.  Follow moves ``src`` whole, and every member must
+    approve.  Merge moves both coalitions whole, and every member must
+    approve the target.  Compromise moves the approvers of the target in
+    both coalitions, and they must outnumber each source.  Subsume moves
+    ``dst`` whole, all of whose members must approve the target, plus the
+    approvers in ``src``, of which there must be at least one, and the
+    result must outnumber ``src``.  An illegal move gives an empty list.
     """
+    nobody: frozenset[str] = frozenset()
+    if kind in ("single_agent", "follow"):
+        if target != dst.proposal:
+            return []
+        if kind == "follow":
+            if all(space.approves(vid, target) for vid in src.members):
+                return [(src.members, nobody)]
+            return []
+        if dst.size < src.size:
+            return []
+        return [
+            (frozenset({vid}), nobody)
+            for vid in space.sort_agents(src.members)
+            if space.approves(vid, target)
+        ]
     if kind == "merge":
         if all(space.approves(vid, target) for vid in src.members | dst.members):
-            return src.members, dst.members
-        return None
+            return [(src.members, dst.members)]
+        return []
     if kind == "compromise":
         movers_i = space.supporters(src.members, target)
         movers_j = space.supporters(dst.members, target)
         if len(movers_i) + len(movers_j) > max(src.size, dst.size):
-            return movers_i, movers_j
-        return None
+            return [(movers_i, movers_j)]
+        return []
     if space.supporters(dst.members, target) != dst.members:
-        return None
+        return []
     movers_i = space.supporters(src.members, target)
     if movers_i and len(movers_i) + dst.size > src.size:
-        return movers_i, dst.members
-    return None
+        return [(movers_i, dst.members)]
+    return []
 
 
 def _pair_targets(
@@ -156,15 +144,19 @@ def _pair_targets(
     dst: DeliberativeCoalition,
     space: DeliberationSpace,
 ) -> Iterator[ProposalRef]:
-    """Target proposals to test ``_pair_movers`` on, in enumeration order.
+    """Target proposals to test ``_legal_movers`` on, in enumeration order.
 
-    Finite spaces offer every candidate id.  Continuous spaces offer the
-    feasibility witness of each agent subset that could back the move, and
-    skip subsets with none: for merge the union of the pair; for compromise
-    the subsets of the union larger than both sources, in descending size;
-    for subsume the donor subsets of ``src``, largest first, each joined
-    with all of ``dst``.
+    Single_agent and follow offer the destination's proposal.  Otherwise
+    finite spaces offer every candidate id, and continuous spaces the
+    feasibility witness of each agent subset that could back the move,
+    skipping subsets with none: for merge the union of the pair; for
+    compromise the subsets of the union larger than both sources, in
+    descending size; for subsume the donor subsets of ``src``, largest
+    first, each joined with all of ``dst``.
     """
+    if kind in ("single_agent", "follow"):
+        yield dst.proposal
+        return
     if not space.is_continuous:
         yield from space.candidate_ids
         return
@@ -197,49 +189,36 @@ def _pair_targets(
             yield witness
 
 
-def _enumerate_pair_moves(
+def enumerate_transitions(
     structure: CoalitionStructure, space: DeliberationSpace, kind: str
 ) -> list[Transition]:
-    """Merge, compromise or subsume moves: each target that passes the rule.
+    """Every available transition of one kind, in a deterministic order.
 
-    Merge and compromise take unordered pairs, subsume ordered ones.  In a
-    continuous space many witnesses give the same movers, and only the first
-    witness for each distinct pair of mover sets is kept.
+    Merge and compromise take unordered pairs of coalitions, the other kinds
+    ordered ones.  In a continuous space many witnesses give the same movers,
+    and only the first witness for each distinct pair of mover sets is kept.
     """
+    if kind not in TRANSITION_KINDS:
+        raise TransitionError(f"unknown transition kind {kind!r}")
     out: list[Transition] = []
     active = _active_indices(structure)
     pairs = (
-        itertools.permutations(active, 2)
-        if kind == "subsume"
-        else itertools.combinations(active, 2)
+        itertools.combinations(active, 2)
+        if kind in ("merge", "compromise")
+        else itertools.permutations(active, 2)
     )
     dedupe = space.is_continuous
     for i, j in pairs:
         src, dst = structure[i], structure[j]
         seen: set[tuple[frozenset[str], frozenset[str]]] = set()
         for target in _pair_targets(kind, src, dst, space):
-            movers = _pair_movers(kind, src, dst, space, target)
-            if movers is None:
-                continue
-            if dedupe:
-                if movers in seen:
-                    continue
-                seen.add(movers)
-            out.append(Transition(kind, (i, j), target, movers))
+            for movers in _legal_movers(kind, src, dst, space, target):
+                if dedupe:
+                    if movers in seen:
+                        continue
+                    seen.add(movers)
+                out.append(Transition(kind, (i, j), target, movers))
     return out
-
-
-def enumerate_transitions(
-    structure: CoalitionStructure, space: DeliberationSpace, kind: str
-) -> list[Transition]:
-    """Every available transition of one kind, in a deterministic order."""
-    if kind == "single_agent":
-        return enumerate_single_agent(structure, space)
-    if kind == "follow":
-        return enumerate_follow(structure, space)
-    if kind in TRANSITION_KINDS:
-        return _enumerate_pair_moves(structure, space, kind)
-    raise TransitionError(f"unknown transition kind {kind!r}")
 
 
 def _revalidate(
@@ -258,28 +237,7 @@ def _revalidate(
         fail("status quo coalitions never participate")
     if src.size == 0 or dst.size == 0:
         fail("empty source coalition")
-    movers_i, movers_j = t.movers
-
-    if t.kind == "single_agent":
-        if len(movers_i) != 1 or movers_j:
-            fail("single_agent moves exactly one agent")
-        (vid,) = movers_i
-        if vid not in src.members:
-            fail(f"agent {vid!r} is not in the source coalition")
-        if dst.size < src.size:
-            fail("destination is smaller than the source")
-        if t.target_proposal != dst.proposal:
-            fail("target proposal no longer matches the destination")
-        if not space.approves(vid, dst.proposal):
-            fail(f"agent {vid!r} does not approve the destination proposal")
-    elif t.kind == "follow":
-        if movers_i != src.members or movers_j:
-            fail("follow moves the whole source coalition")
-        if t.target_proposal != dst.proposal:
-            fail("target proposal no longer matches the destination")
-        if not all(space.approves(vid, dst.proposal) for vid in src.members):
-            fail("some member does not approve the destination proposal")
-    elif t.movers != _pair_movers(t.kind, src, dst, space, t.target_proposal):
+    if t.movers not in _legal_movers(t.kind, src, dst, space, t.target_proposal):
         fail("movers are not the ones the rule gives for the target")
 
 
@@ -288,23 +246,19 @@ def apply_transition(
 ) -> CoalitionStructure:
     """Apply a transition enumerated from this structure; drop empty coalitions.
 
-    Untouched coalitions keep their order.  Merges land at the first source
-    index, follows at the destination index, compromises and subsumes append
-    the new coalition at the end and keep leftovers in place.
+    Untouched coalitions keep their order.  Single_agent and follow move
+    their movers from the source into the destination in place, merges land
+    at the first source index, compromises and subsumes append the new
+    coalition at the end and keep leftovers in place.
     """
     _revalidate(structure, space, t)
     i, j = t.sources
     movers_i, movers_j = t.movers
     new_list: list[Optional[DeliberativeCoalition]] = list(structure.coalitions)
 
-    if t.kind == "single_agent":
+    if t.kind in ("single_agent", "follow"):
         new_list[i] = DeliberativeCoalition(structure[i].members - movers_i, structure[i].proposal)
         new_list[j] = DeliberativeCoalition(structure[j].members | movers_i, structure[j].proposal)
-    elif t.kind == "follow":
-        new_list[j] = DeliberativeCoalition(
-            structure[j].members | movers_i, structure[j].proposal
-        )
-        new_list[i] = None
     elif t.kind == "merge":
         first, second = min(i, j), max(i, j)
         new_list[first] = DeliberativeCoalition(

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from delibsim import CoalitionStructure, DeliberationSpace, EuclideanMetric
+
+# Child processes of the command-line tests import the package from src/ too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path for path in (_SRC, os.environ.get("PYTHONPATH")) if path
+)
 
 
 def line_space(agent_positions, candidates=None, quo=0.0):

@@ -100,6 +100,31 @@ class TestRunCommand:
         assert code == 2
         assert "agent 'v1': non-finite coordinate" in err
 
+    @pytest.mark.parametrize("change, clause", [
+        ({"space": {"metric": "euclidean", "dimension": "x"}}, "space.dimension"),
+        ({"space": {"metric": "euclidean", "dimension": True}}, "space.dimension"),
+        ({"space": {"metric": "euclidean", "dimension": 1.5}}, "space.dimension"),
+        ({"agents": [{"id": "v1", "coords": ["a"]}]}, "space.coords"),
+        ({"agents": [{"id": "v1", "coords": 1}]}, "space.coords"),
+        ({"status_quo": 5}, "space.coords"),
+        ({"space": {"metric": "explicit", "points": ["r", "v"], "matrix": [[0, "a"], ["a", 0]]},
+          "status_quo": "r", "agents": [{"id": "v1", "point": "v"}]}, "metric.shape"),
+        ({"space": {"metric": "explicit", "points": ["r", "v"], "matrix": 5},
+          "status_quo": "r", "agents": [{"id": "v1", "point": "v"}]}, "metric.shape"),
+    ])
+    def test_malformed_scenario_names_clause(self, capsys, tmp_path, change, clause):
+        scenario = {
+            "format_version": 1, "space": {"metric": "euclidean", "dimension": 1},
+            "status_quo": [0.0], "proposals": "continuous",
+            "agents": [{"id": "v1", "coords": [1.0]}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**scenario, **change}))
+        code, _, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert clause in err
+        assert "Traceback" not in err
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(dump_scenario(*builtin_fixture("example2")))
@@ -157,6 +182,22 @@ class TestOracleCommand:
         assert data["m_star"] == 5
         assert data["all_terminals_successful"] is False
         assert data["unsuccessful_witness_steps"] == 0
+
+    def test_explore_continuous_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "continuous.json"
+        path.write_text(dump_scenario(line_space([1.0, 2.0])))
+        code, _, err = run_cli(capsys, "oracle", "--scenario", str(path), "--explore")
+        assert code == 2
+        assert "finite proposal list" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_explore_state_cap_below_one(self, capsys, cap):
+        code, out, err = run_cli(
+            capsys, "oracle", "--fixture", "example1", "--explore", "--state-cap", cap,
+        )
+        assert code == 2
+        assert "state cap" in err
+        assert out == ""
 
     def test_oracle_cap_exit_code(self, capsys, tmp_path):
         space = line_space([float(i + 1) for i in range(17)])

@@ -8,6 +8,7 @@ import pytest
 
 from delibsim import (
     CoalitionStructure,
+    EngineInvariantError,
     GeneratorConfig,
     Policy,
     PolicyError,
@@ -21,6 +22,7 @@ from delibsim import (
     run,
     summarize,
 )
+from delibsim import engine
 
 from conftest import line_space
 
@@ -168,6 +170,19 @@ class TestRun:
         space, init = builtin_fixture("example3")
         trace = run(space, init, Policy.parse("merge"), scenario_ref="example3")
         assert trace.scenario == "example3"
+
+    @pytest.mark.parametrize("name, kind", [
+        ("example1", "single_agent"),
+        ("example2", "follow"),
+        ("example3", "merge"),
+        ("example4", "compromise"),
+        ("example3", "subsume"),
+    ])
+    def test_step_that_changes_nothing_breaks_invariant(self, monkeypatch, name, kind):
+        monkeypatch.setattr(engine, "apply_transition", lambda structure, space, t: structure)
+        space, init = builtin_fixture(name)
+        with pytest.raises(EngineInvariantError, match=f"^{kind} step"):
+            run(space, init, Policy.parse(kind))
 
 
 class TestGenerateScenario:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from delibsim import oracle
 from delibsim import (
     GeneratorConfig,
     OracleError,
@@ -90,6 +91,21 @@ class TestExplore:
         assert only_single.unsuccessful_witness == ()
         full = explore(space, init, TRANSITION_KINDS)
         assert full.all_terminals_successful
+
+    def test_state_cap_below_one(self):
+        space, init = builtin_fixture("example1")
+        for cap in (0, -1):
+            with pytest.raises(OracleError):
+                explore(space, init, TRANSITION_KINDS, state_cap=cap)
+
+    def test_step_that_changes_nothing_is_not_monotone(self, monkeypatch):
+        monkeypatch.setattr(oracle, "apply_transition", lambda structure, space, t: structure)
+        space, init = builtin_fixture("example3")
+        report = explore(space, init, ("merge",))
+        assert not report.potential_monotone
+        assert report.signature_monotone
+        space, init = builtin_fixture("example4")
+        assert not explore(space, init, ("compromise",)).signature_monotone
 
     def test_truncation(self):
         space, init = builtin_fixture("example1")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -271,25 +272,77 @@ def _leftover_line():
     return space, structure((("v1", "v2"), "a"), (("v3", "v4"), "b"))
 
 
+def _two_pairs_finite():
+    space = line_space([1.0, 1.0, 1.9, 1.9], {"a": 1.0, "b": 1.9})
+    return space, structure((("v1", "v2"), "a"), (("v3", "v4"), "b"))
+
+
+def _trio_and_pair_finite():
+    space = line_space([1.0, 1.0, 1.0, 1.8, 1.8], {"a": 1.0, "b": 1.8})
+    return space, structure((("v1", "v2", "v3"), "a"), (("v4", "v5"), "b"))
+
+
+def _three_finite():
+    # v1 does not approve d (|1.0 - 2.2| > 1.0); v2 and v3 do
+    space = line_space([1.0, 1.2, 1.4, -1.0], {"a": 1.0, "b": 1.4, "p": 1.2, "c": -1.0, "d": 2.2})
+    return space, structure((("v1", "v2"), "a"), (("v3",), "b"), (("v4",), "c"))
+
+
 def _two_pairs_continuous():
     space = line_space([2.0, 2.5, 6.0, 3.0, -1.0])
     s = structure((("v1", "v2"), (2.2,)), (("v3", "v4"), (6.0,)), (("v5",), (-1.0,)))
     return space, s
 
 
-# (scenario, kind, sources and target of a legal move, an agent outside its
-# movers, sources and target whose exact approvers break the rule: the
-# second coalition does not move whole, the movers do not outnumber a
-# source, or no member of the first coalition moves)
+class Forgery(NamedTuple):
+    """A legal move, an agent outside its movers, and a forged move that
+    breaks the rule of its kind.
+
+    The forged move's target is not the destination's proposal
+    (single_agent, follow), is not approved by some member (merge), or has
+    exact approvers that break the wholeness, size or at-least-one-donor
+    rule (compromise, subsume).  ``bad_movers`` None means those exact
+    approvers in each source.
+    """
+
+    build: Callable
+    kind: str
+    sources: tuple[int, int]
+    target: object
+    outsider: str
+    bad_sources: tuple[int, int]
+    bad_target: object
+    bad_movers: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
+
+
 FORGERY_CASES = {
-    "finite-compromise": (
+    "finite-single_agent": Forgery(
+        _two_pairs_finite, "single_agent", (0, 1), "b", "v3", (0, 1), "a", (("v1",), ()),
+    ),
+    "finite-follow": Forgery(
+        _trio_and_pair_finite, "follow", (0, 1), "b", "v4", (0, 1), "a", (("v1", "v2", "v3"), ()),
+    ),
+    "finite-merge": Forgery(
+        _three_finite, "merge", (0, 1), "p", "v4", (0, 1), "d", (("v1", "v2"), ("v3",)),
+    ),
+    "finite-compromise": Forgery(
         lambda: builtin_fixture("example4"), "compromise", (0, 1), "p", "v5", (0, 1), "a",
     ),
-    "finite-subsume": (_leftover_line, "subsume", (0, 1), "b", "v2", (1, 0), "b"),
-    "continuous-compromise": (
+    "finite-subsume": Forgery(_leftover_line, "subsume", (0, 1), "b", "v2", (1, 0), "b"),
+    "continuous-single_agent": Forgery(
+        _two_pairs_continuous, "single_agent", (1, 0), (2.2,), "v5", (1, 0), (6.0,), (("v3",), ()),
+    ),
+    "continuous-follow": Forgery(
+        _two_pairs_continuous, "follow", (1, 0), (2.2,), "v5", (1, 0), (3.0,), (("v3", "v4"), ()),
+    ),
+    "continuous-merge": Forgery(
+        _two_pairs_continuous, "merge", (0, 1), (2.0,), "v5", (0, 1), (5.0,),
+        (("v1", "v2"), ("v3", "v4")),
+    ),
+    "continuous-compromise": Forgery(
         _two_pairs_continuous, "compromise", (0, 1), (2.0,), "v5", (0, 1), (5.0,),
     ),
-    "continuous-subsume": (
+    "continuous-subsume": Forgery(
         _two_pairs_continuous, "subsume", (0, 1), (2.0,), "v5", (2, 0), (2.0,),
     ),
 }
@@ -297,47 +350,49 @@ FORGERY_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FORGERY_CASES))
 class TestForgedPairMoves:
+    """Forged moves of every kind fail revalidation."""
+
     def build_case(self, case):
-        build, kind, sources, target, outsider, bad_sources, bad_target = FORGERY_CASES[case]
-        space, s = build()
-        (legal,) = [
-            t for t in by_kind(s, space, kind)
-            if t.sources == sources and t.target_proposal == target
-        ]
-        return space, s, legal, outsider, bad_sources, bad_target
+        forgery = FORGERY_CASES[case]
+        space, s = forgery.build()
+        legal = next(
+            t for t in by_kind(s, space, forgery.kind)
+            if t.sources == forgery.sources and t.target_proposal == forgery.target
+        )
+        return space, s, legal, forgery
 
     def test_legal_move_applies(self, case):
-        space, s, legal, *_ = self.build_case(case)
+        space, s, legal, _ = self.build_case(case)
         apply_transition(s, space, legal)
 
     def test_added_mover_rejected(self, case):
-        space, s, legal, outsider, *_ = self.build_case(case)
+        space, s, legal, forgery = self.build_case(case)
         movers_i, movers_j = legal.movers
-        forged = replace(legal, movers=(movers_i | {outsider}, movers_j))
+        forged = replace(legal, movers=(movers_i | {forgery.outsider}, movers_j))
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
 
     def test_dropped_mover_rejected(self, case):
-        space, s, legal, *_ = self.build_case(case)
+        space, s, legal, _ = self.build_case(case)
         movers_i, movers_j = legal.movers
         forged = replace(legal, movers=(movers_i - {min(movers_i)}, movers_j))
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
 
     def test_rule_breaking_target_rejected(self, case):
-        space, s, legal, _, bad_sources, bad_target = self.build_case(case)
-        i, j = bad_sources
-        forged = Transition(
-            legal.kind, bad_sources, bad_target,
-            (space.supporters(s[i].members, bad_target), space.supporters(s[j].members, bad_target)),
+        space, s, legal, forgery = self.build_case(case)
+        i, j = forgery.bad_sources
+        target = forgery.bad_target
+        movers = forgery.bad_movers or (
+            space.supporters(s[i].members, target), space.supporters(s[j].members, target)
         )
+        forged = Transition(legal.kind, forgery.bad_sources, target, movers)
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
 
 
-def test_enumerated_continuous_moves_apply():
-    """Every move enumerated from a generated initial structure revalidates."""
-    config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+def _apply_every_enumerated_move(config):
+    """Apply every move enumerated from the initial structures of seeds 1-30."""
     applied = 0
     for seed in range(1, 31):
         space, initial = generate_scenario(config, seed)
@@ -345,4 +400,15 @@ def test_enumerated_continuous_moves_apply():
             for t in enumerate_transitions(initial, space, kind):
                 apply_transition(initial, space, t)
                 applied += 1
-    assert applied > 0
+    return applied
+
+
+def test_enumerated_finite_moves_apply():
+    """Every move enumerated from a generated initial structure revalidates."""
+    assert _apply_every_enumerated_move(GeneratorConfig(mode="finite")) > 0
+
+
+def test_enumerated_continuous_moves_apply():
+    """Every move enumerated from a generated initial structure revalidates."""
+    config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+    assert _apply_every_enumerated_move(config) > 0
