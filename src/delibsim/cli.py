@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -222,6 +221,8 @@ def _cmd_oracle(args) -> int:
             print(f"m*={report.m_star} witnesses=[{', '.join(report.witnesses)}]")
         return EXIT_OK
     result = explore(space, structure, args.kinds, state_cap=args.state_cap)
+    unknown = result.truncated and not result.terminal_count
+    all_successful = None if unknown else result.all_terminals_successful
     if args.format == "json":
         print(json.dumps({
             "m_star": report.m_star,
@@ -230,7 +231,7 @@ def _cmd_oracle(args) -> int:
             "edges": result.edges,
             "truncated": result.truncated,
             "terminals": result.terminal_count,
-            "all_terminals_successful": result.all_terminals_successful,
+            "all_terminals_successful": all_successful,
             "potential_monotone": result.potential_monotone,
             "signature_monotone": result.signature_monotone,
             "unsuccessful_witness_steps": (
@@ -246,7 +247,7 @@ def _cmd_oracle(args) -> int:
     )
     print(
         f"terminals={result.terminal_count} "
-        f"all_successful={str(result.all_terminals_successful).lower()}"
+        f"all_successful={'unknown' if all_successful is None else str(all_successful).lower()}"
     )
     print(
         f"potential_monotone={str(result.potential_monotone).lower()} "

@@ -196,11 +196,10 @@ def is_successful(structure: CoalitionStructure, space: DeliberationSpace) -> bo
     report = space.max_support()
     if report.m_star == 0:
         return True
-    everyone = space.agent_ids
     for coalition in structure:
         if coalition.supports_status_quo or coalition.size != report.m_star:
             continue
-        if len(space.supporters(everyone, coalition.proposal)) == report.m_star:
+        if len(space.approvers(coalition.proposal)) == report.m_star:
             return True
     return False
 

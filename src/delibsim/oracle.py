@@ -21,7 +21,8 @@ from .coalition import (
     potential,
     signature,
 )
-from .space import DeliberationSpace, SupportReport
+from .geometry import approves
+from .space import DeliberationSpace, ProposalRef, SupportReport
 from .transitions import (
     POTENTIAL_KINDS,
     SIGNATURE_KINDS,
@@ -38,6 +39,14 @@ class OracleError(ValueError):
     """Oracle asked for something outside its scope."""
 
 
+def _approvers(space: DeliberationSpace, ref: ProposalRef) -> frozenset[str]:
+    """Agents that strictly approve the proposal, from locations, not the space's memo."""
+    loc = space.proposal_location(ref)
+    return frozenset(
+        vid for vid, vloc in space.agents if approves(vloc, loc, space.status_quo, space.metric)
+    )
+
+
 def naive_max_support(space: DeliberationSpace) -> SupportReport:
     """Double loop over candidates and agents; finite spaces only."""
     if space.is_continuous:
@@ -45,10 +54,7 @@ def naive_max_support(space: DeliberationSpace) -> SupportReport:
     best = 0
     witnesses: list[str] = []
     for pid, _ in space.proposals:
-        count = 0
-        for vid in space.agent_ids:
-            if space.agent_distance(vid, pid) < space.agent_distance(vid, "r"):
-                count += 1
+        count = len(_approvers(space, pid))
         if count > best:
             best = count
             witnesses = [pid]
@@ -90,8 +96,9 @@ def naive_transitions(
                     continue
                 if structure[j].size < structure[i].size:
                     continue
+                approvers = _approvers(space, structure[j].proposal)
                 for vid in space.sort_agents(structure[i].members):
-                    if space.approves(vid, structure[j].proposal):
+                    if vid in approvers:
                         out.append(
                             Transition(
                                 "single_agent",
@@ -107,7 +114,7 @@ def naive_transitions(
             for j in indices:
                 if i == j or not eligible(i) or not eligible(j):
                     continue
-                if all(space.approves(v, structure[j].proposal) for v in structure[i].members):
+                if structure[i].members <= _approvers(space, structure[j].proposal):
                     out.append(
                         Transition(
                             "follow", (i, j), structure[j].proposal,
@@ -122,10 +129,7 @@ def naive_transitions(
                 if not (i < j) or not eligible(i) or not eligible(j):
                     continue
                 for pid in space.candidate_ids:
-                    if all(
-                        space.approves(v, pid)
-                        for v in structure[i].members | structure[j].members
-                    ):
+                    if structure[i].members | structure[j].members <= _approvers(space, pid):
                         out.append(
                             Transition(
                                 "merge", (i, j), pid,
@@ -142,12 +146,13 @@ def naive_transitions(
                 members_i = space.sort_agents(structure[i].members)
                 members_j = space.sort_agents(structure[j].members)
                 for pid in space.candidate_ids:
+                    approvers = _approvers(space, pid)
                     for sub_i in _subsets(members_i):
                         for sub_j in _subsets(members_j):
                             set_i, set_j = frozenset(sub_i), frozenset(sub_j)
-                            if set_i != space.supporters(structure[i].members, pid):
+                            if set_i != structure[i].members & approvers:
                                 continue
-                            if set_j != space.supporters(structure[j].members, pid):
+                            if set_j != structure[j].members & approvers:
                                 continue
                             if len(set_i | set_j) <= max(structure[i].size, structure[j].size):
                                 continue
@@ -161,13 +166,14 @@ def naive_transitions(
                 continue
             members_i = space.sort_agents(structure[i].members)
             for pid in space.candidate_ids:
-                if space.supporters(structure[j].members, pid) != structure[j].members:
+                approvers = _approvers(space, pid)
+                if not structure[j].members <= approvers:
                     continue
                 for sub_i in _subsets(members_i):
                     set_i = frozenset(sub_i)
                     if not set_i:
                         continue
-                    if set_i != space.supporters(structure[i].members, pid):
+                    if set_i != structure[i].members & approvers:
                         continue
                     if len(set_i) + structure[j].size <= structure[i].size:
                         continue

@@ -14,10 +14,10 @@ import json
 import math
 from typing import Optional, Sequence
 
-from .coalition import CoalitionStructure, DeliberativeCoalition, validate_structure
+from .coalition import CoalitionStructure, validate_structure
 from .engine import BatchRow, Policy, RunTrace, TraceStep, default_initial_structure
 from .geometry import EuclideanMetric, ExplicitMetric, MetricError
-from .space import STATUS_QUO_ID, DeliberationSpace, SpaceError
+from .space import DeliberationSpace, SpaceError
 from .transitions import Transition
 
 FORMAT_VERSION = 1

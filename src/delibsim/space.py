@@ -1,8 +1,9 @@
 """Deliberation spaces: agents, proposals and support queries over a metric.
 
-A space is immutable after construction.  Feasibility results for agent
-subsets are memoized on the instance because the subset oracle, the merge
-synthesis and the compromise search all probe the same sets.
+A space is immutable after construction.  The approval relation is memoized
+per proposal (``approvers``), and every query reads it as set algebra;
+feasibility is memoized per agent subset, because the subset oracle, the
+merge synthesis and the compromise search all probe the same sets.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .geometry import (
     APPROVAL_MARGIN,
     Coords,
     EuclideanMetric,
-    ExplicitMetric,
     FeasibilityResult,
     Metric,
-    MetricError,
     approves,
     best_common_proposal,
     distance,
@@ -125,7 +124,9 @@ class DeliberationSpace:
                 candidate_pairs.append((pid, self._check_location(loc, f"proposal {pid!r}")))
             self.proposals = tuple(candidate_pairs)
             self._proposal_loc = dict(self.proposals)
+            self._candidate_ids = tuple(self._proposal_loc)
 
+        self._approvers: dict[ProposalRef, frozenset[str]] = {}
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
         self._support: Optional[SupportReport] = None
 
@@ -168,7 +169,7 @@ class DeliberationSpace:
     def candidate_ids(self) -> tuple[str, ...]:
         if self.is_continuous:
             raise SpaceError("continuous space has no finite candidate list", clause="space.continuous")
-        return tuple(pid for pid, _ in self.proposals)
+        return self._candidate_ids
 
     def agent_location(self, vid: str):
         try:
@@ -212,22 +213,31 @@ class DeliberationSpace:
     def agent_distance(self, vid: str, ref: ProposalRef) -> float:
         return distance(self.agent_location(vid), self.proposal_location(ref), self.metric)
 
+    def approvers(self, ref: ProposalRef) -> frozenset[str]:
+        """Agents that strictly approve the proposal, memoized by id or coordinates."""
+        key = ref if isinstance(ref, str) and not self.is_continuous else self.proposal_location(ref)
+        if key not in self._approvers:
+            loc = self.proposal_location(key)
+            self._approvers[key] = frozenset(
+                vid for vid, vloc in self.agents if approves(vloc, loc, self.status_quo, self.metric)
+            )
+        return self._approvers[key]
+
     def approves(self, vid: str, ref: ProposalRef) -> bool:
         """Strict approval of a proposal reference by a named agent."""
-        loc = self.agent_location(vid)
-        return approves(loc, self.proposal_location(ref), self.status_quo, self.metric)
+        self.agent_location(vid)
+        return vid in self.approvers(ref)
 
     def approval_set(self, vid: str) -> set[str]:
         """Candidate ids the agent strictly approves.  Finite spaces only."""
-        if self.is_continuous:
-            raise SpaceError(
-                "approval_set is undefined on continuous proposal spaces", clause="space.continuous"
-            )
         return {pid for pid in self.candidate_ids if self.approves(vid, pid)}
 
     def supporters(self, ids: Iterable[str], ref: ProposalRef) -> frozenset[str]:
         """Subset of the given agents that strictly approve the proposal."""
-        return frozenset(vid for vid in ids if self.approves(vid, ref))
+        ids = frozenset(ids)
+        for vid in ids:
+            self.agent_location(vid)
+        return self.approvers(ref) & ids
 
     # -- joint feasibility (continuous synthesis) ------------------------------
 
@@ -258,7 +268,7 @@ class DeliberationSpace:
             return self._feasibility[key]
         ordered = self.sort_agents(key)
         witness = separated_proposal([self.agent_location(v) for v in ordered], self.status_quo)
-        if witness is not None and not all(self.approves(v, witness) for v in ordered):
+        if witness is not None and not key <= self.approvers(witness):
             witness = None
         self._feasibility[key] = witness
         return witness
@@ -281,18 +291,11 @@ class DeliberationSpace:
 
     def _compute_max_support(self) -> SupportReport:
         if not self.is_continuous:
-            best = 0
-            witnesses: list[str] = []
-            for pid in self.candidate_ids:
-                count = len(self.supporters(self.agent_ids, pid))
-                if count > best:
-                    best = count
-                    witnesses = [pid]
-                elif count == best and count > 0:
-                    witnesses.append(pid)
+            counts = {pid: len(self.approvers(pid)) for pid in self.candidate_ids}
+            best = max(counts.values(), default=0)
             if best == 0:
                 return SupportReport(0, ())
-            return SupportReport(best, tuple(witnesses))
+            return SupportReport(best, tuple(pid for pid, count in counts.items() if count == best))
 
         if len(self.agents) > ORACLE_CAP:
             raise OracleCapError(

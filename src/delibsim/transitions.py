@@ -4,8 +4,9 @@ Enumeration returns every available transition of a kind from a structure,
 in a deterministic order.  The rule of every kind (single_agent, follow,
 merge, compromise, subsume) is written once, in ``_legal_movers``, which
 gives the mover sets of each legal move of a pair of coalitions to a
-target; enumeration and revalidation both call it.  Only the targets it is
-tried on differ (``_pair_targets``): single_agent and follow take the
+target as subsets and intersections of the space's ``approvers``;
+enumeration and revalidation both call it.  Only the targets it is tried
+on differ (``_pair_targets``): single_agent and follow take the
 destination's proposal, and the pair moves every candidate of a finite
 space or the witnesses of a continuous space's joint-feasibility test,
 ``feasible_witness``.  ``apply_transition`` revalidates its input against
@@ -110,7 +111,7 @@ def _legal_movers(
         if target != dst.proposal:
             return []
         if kind == "follow":
-            if all(space.approves(vid, target) for vid in src.members):
+            if src.members <= space.approvers(target):
                 return [(src.members, nobody)]
             return []
         if dst.size < src.size:
@@ -120,20 +121,18 @@ def _legal_movers(
             for vid in space.sort_agents(src.members)
             if space.approves(vid, target)
         ]
+    approvers = space.approvers(target)
     if kind == "merge":
-        if all(space.approves(vid, target) for vid in src.members | dst.members):
+        if src.members <= approvers and dst.members <= approvers:
             return [(src.members, dst.members)]
         return []
+    movers_i = src.members & approvers
     if kind == "compromise":
-        movers_i = space.supporters(src.members, target)
-        movers_j = space.supporters(dst.members, target)
+        movers_j = dst.members & approvers
         if len(movers_i) + len(movers_j) > max(src.size, dst.size):
             return [(movers_i, movers_j)]
         return []
-    if space.supporters(dst.members, target) != dst.members:
-        return []
-    movers_i = space.supporters(src.members, target)
-    if movers_i and len(movers_i) + dst.size > src.size:
+    if dst.members <= approvers and movers_i and len(movers_i) + dst.size > src.size:
         return [(movers_i, dst.members)]
     return []
 

@@ -183,6 +183,20 @@ class TestOracleCommand:
         assert data["all_terminals_successful"] is False
         assert data["unsuccessful_witness_steps"] == 0
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_truncated_walk_without_terminal_is_unknown(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "--format", fmt, "oracle", "--fixture", "example3",
+            "--explore", "--state-cap", "1",
+        )
+        assert code == 0
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["truncated"] is True and data["terminals"] == 0
+            assert data["all_terminals_successful"] is None
+        else:
+            assert "terminals=0 all_successful=unknown" in out
+
     def test_explore_continuous_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "continuous.json"
         path.write_text(dump_scenario(line_space([1.0, 2.0])))

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import delibsim.space
 from delibsim import (
+    TRANSITION_KINDS,
     DeliberationSpace,
     EuclideanMetric,
     ExplicitMetric,
     GeneratorConfig,
     OracleCapError,
+    Policy,
     SpaceError,
     builtin_fixture,
+    enumerate_transitions,
     generate_scenario,
+    run,
     separated_proposal,
 )
 
@@ -125,6 +131,53 @@ class TestQueries:
         assert not space.approves("v1", "a")  # 1.5 > dist(v1, r) = 1.0
         assert space.approves("v2", "a")  # 1.5 < 3.0
         assert space.approval_set("v2") == {"a"}
+
+
+class TestApprovalRelation:
+    @pytest.mark.parametrize("mode", ["finite", "continuous"])
+    def test_each_pair_decided_once(self, mode, monkeypatch):
+        decided = Counter()
+        real = delibsim.space.approves
+
+        def counted(agent, proposal, status_quo, metric):
+            decided[agent, proposal] += 1
+            return real(agent, proposal, status_quo, metric)
+
+        monkeypatch.setattr(delibsim.space, "approves", counted)
+        config = GeneratorConfig(mode=mode, min_agents=5, max_agents=6, dimensions=(2,))
+        space, initial = generate_scenario(config, 4)
+        for kind in TRANSITION_KINDS:
+            enumerate_transitions(initial, space, kind)
+        trace = run(space, initial, Policy.parse(",".join(TRANSITION_KINDS), seed=4))
+        assert trace.steps and decided
+        agents_at = Counter(loc for _, loc in space.agents)
+        assert all(count <= agents_at[agent] for (agent, _), count in decided.items())
+
+    @pytest.mark.parametrize(
+        "space, known, unknown",
+        [
+            (line_space([1.0, 2.0], {"a": 1.0}), "a", "zz"),
+            (line_space([1.0, 2.0]), (1.0,), "zz"),
+        ],
+        ids=["finite", "continuous"],
+    )
+    def test_unknown_ids_raise_after_memo(self, space, known, unknown):
+        assert space.approves("v1", known)
+        assert space.supporters(["v1", "v2"], known) == {"v1", "v2"}
+        for query in (
+            lambda: space.approves("ghost", known),
+            lambda: space.supporters(["v1", "ghost"], known),
+        ):
+            with pytest.raises(SpaceError) as err:
+                query()
+            assert err.value.clause == "space.unknown_id"
+        for query in (
+            lambda: space.approves("v1", unknown),
+            lambda: space.supporters(["v1"], unknown),
+        ):
+            with pytest.raises(SpaceError) as err:
+                query()
+            assert err.value.clause == "structure.unknown_proposal"
 
 
 class TestMaxSupport:
