@@ -9,7 +9,8 @@ proposal they all strictly approve iff the status quo lies outside the convex
 hull of their locations, and ``separated_proposal`` accepts a set only when
 the hull misses the status quo by more than ``APPROVAL_MARGIN``.
 ``best_common_proposal`` (SLSQP multistart) reports the optimal worst-case
-approval margin for callers that need the margin itself.
+approval margin for callers that need the margin itself; it is the only user
+of scipy, which is imported on its first call rather than with the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 Coords = tuple[float, ...]
 PointRef = Union[Coords, str]
@@ -288,6 +288,13 @@ def separated_proposal(
     if dist_to_hull > APPROVAL_MARGIN:
         return point
     return None
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _max_slack(pts: np.ndarray, radii: np.ndarray, p: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Deliberation spaces: agents, proposals and support queries over a metric.
 
 A space is immutable after construction.  The approval relation is memoized
-per proposal (``approvers``), and every query reads it as set algebra;
-feasibility is memoized per agent subset, because the subset oracle, the
-merge synthesis and the compromise search all probe the same sets.
+per proposal (``approvers``), and every query reads it as set algebra.  Two
+memos are kept per agent set, because the enumerators probe the same
+coalitions and subsets over and over: in finite spaces the candidates the set
+reaches (``reach_mask``), and in continuous spaces its joint feasibility
+(``feasible_witness``).
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ class DeliberationSpace:
 
         self._approvers: dict[ProposalRef, frozenset[str]] = {}
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
+        self._reach: dict[frozenset, int] = {}
         self._support: Optional[SupportReport] = None
 
     # -- construction helpers -------------------------------------------------
@@ -231,6 +234,21 @@ class DeliberationSpace:
     def approval_set(self, vid: str) -> set[str]:
         """Candidate ids the agent strictly approves.  Finite spaces only."""
         return {pid for pid in self.candidate_ids if self.approves(vid, pid)}
+
+    def reach_mask(self, ids: Iterable[str]) -> int:
+        """Candidates at least one given agent approves, as bits in ``candidate_ids`` order.
+
+        Bit k is set when some agent approves the k-th candidate.  Memoized
+        per agent set.  Finite spaces only.
+        """
+        key = frozenset(ids)
+        if key not in self._reach:
+            self._reach[key] = sum(
+                1 << bit
+                for bit, pid in enumerate(self.candidate_ids)
+                if not key.isdisjoint(self.approvers(pid))
+            )
+        return self._reach[key]
 
     def supporters(self, ids: Iterable[str], ref: ProposalRef) -> frozenset[str]:
         """Subset of the given agents that strictly approve the proposal."""

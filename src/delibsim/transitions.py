@@ -7,11 +7,12 @@ gives the mover sets of each legal move of a pair of coalitions to a
 target as subsets and intersections of the space's ``approvers``;
 enumeration and revalidation both call it.  Only the targets it is tried
 on differ (``_pair_targets``): single_agent and follow take the
-destination's proposal, and the pair moves every candidate of a finite
-space or the witnesses of a continuous space's joint-feasibility test,
-``feasible_witness``.  ``apply_transition`` revalidates its input against
-the current structure, so a stale transition (enumerated from a different
-structure) fails loudly instead of corrupting the run.
+destination's proposal, and the pair moves the candidates of a finite space
+that both coalitions reach (``reach_mask``) or the witnesses of a
+continuous space's joint-feasibility test, ``feasible_witness``.
+``apply_transition`` revalidates its input against the current structure,
+so a stale transition (enumerated from a different structure) fails loudly
+instead of corrupting the run.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ def _pair_targets(
     """Target proposals to test ``_legal_movers`` on, in enumeration order.
 
     Single_agent and follow offer the destination's proposal.  Otherwise
-    finite spaces offer every candidate id, and continuous spaces the
+    finite spaces offer, in declaration order, the candidate ids that some
+    member of each coalition approves, and no legal move needs another:
+    merge moves both coalitions whole, subsume all of a non-empty ``dst``
+    and at least one donor of ``src``, and compromise movers outnumber each
+    source, so each source gives at least one.  Continuous spaces offer the
     feasibility witness of each agent subset that could back the move,
     skipping subsets with none: for merge the union of the pair; for
     compromise the subsets of the union larger than both sources, in
@@ -157,7 +162,8 @@ def _pair_targets(
         yield dst.proposal
         return
     if not space.is_continuous:
-        yield from space.candidate_ids
+        reached = space.reach_mask(src.members) & space.reach_mask(dst.members)
+        yield from (pid for bit, pid in enumerate(space.candidate_ids) if reached >> bit & 1)
         return
     union = src.members | dst.members
     if kind == "merge":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -187,6 +189,21 @@ class TestBestCommonProposal:
         m = EuclideanMetric(2)
         exact = max(distance(a, res.witness, m) - distance(a, quo, m) for a in agents)
         assert res.margin == pytest.approx(exact, abs=1e-12)
+
+
+class TestScipyImport:
+    def test_loaded_only_by_the_margin_solver(self):
+        code = (
+            "import math, sys\n"
+            "import delibsim, delibsim.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+            "space, _ = delibsim.builtin_fixture('example4')\n"
+            "agents = [space.agent_location(v) for v in space.agent_ids]\n"
+            "margin = delibsim.best_common_proposal(agents, space.status_quo).margin\n"
+            "assert math.isfinite(margin), margin\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestFeasibilityResult:

@@ -6,6 +6,7 @@ import pytest
 
 from delibsim import oracle
 from delibsim import (
+    DeliberationSpace,
     GeneratorConfig,
     OracleError,
     TRANSITION_KINDS,
@@ -49,6 +50,27 @@ class TestNaiveTransitions:
             mine = set(enumerate_transitions(init, space, kind))
             naive = set(naive_transitions(init, space, kind))
             assert mine == naive, (name, kind)
+
+    def test_agrees_on_every_explored_state(self, monkeypatch):
+        # Explored states hold the coalitions that transitions build, so
+        # the reach filter drops far more targets there than at the start.
+        # The oracle loops over pairs, candidates and agents in declaration
+        # order, so the lists agree element for element, not only as sets.
+        config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
+        grouped = 0
+        for seed in range(1, 41):
+            space, init = generate_scenario(config, seed)
+            states = explore(space, init, TRANSITION_KINDS).structures.values()
+            cases = [(state, kind) for state in states for kind in TRANSITION_KINDS]
+            filtered = [enumerate_transitions(state, space, kind) for state, kind in cases]
+            for (state, kind), mine in zip(cases, filtered):
+                assert mine == naive_transitions(state, space, kind), (seed, kind, state)
+            with monkeypatch.context() as patch:
+                patch.setattr(DeliberationSpace, "reach_mask", lambda self, ids: -1)
+                unfiltered = [enumerate_transitions(state, space, kind) for state, kind in cases]
+            assert filtered == unfiltered, seed
+            grouped += sum(any(c.size > 1 for c in state) for state in states)
+        assert grouped > 100
 
     def test_rejects_continuous(self):
         space = line_space([1.0, 2.0])

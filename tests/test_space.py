@@ -100,9 +100,10 @@ class TestQueries:
 
     def test_approval_set_undefined_on_continuous(self):
         space = line_space([1.0])
-        with pytest.raises(SpaceError) as err:
-            space.approval_set("v1")
-        assert err.value.clause == "space.continuous"
+        for query in (lambda: space.approval_set("v1"), lambda: space.reach_mask(["v1"])):
+            with pytest.raises(SpaceError) as err:
+                query()
+            assert err.value.clause == "space.continuous"
 
     def test_status_quo_reference(self):
         space = line_space([1.0], {"a": 1.0})
@@ -152,6 +153,33 @@ class TestApprovalRelation:
         assert trace.steps and decided
         agents_at = Counter(loc for _, loc in space.agents)
         assert all(count <= agents_at[agent] for (agent, _), count in decided.items())
+
+    def test_reach_mask_unions_member_approval_sets(self):
+        config = GeneratorConfig(mode="finite", min_agents=5, max_agents=6, dimensions=(2,))
+        for seed in range(10):
+            space, _ = generate_scenario(config, seed)
+            bit = {pid: 1 << k for k, pid in enumerate(space.candidate_ids)}
+            for size in range(len(space.agent_ids) + 1):
+                for members in itertools.combinations(space.agent_ids, size):
+                    expected = sum(bit[pid] for pid in set().union(*map(space.approval_set, members)))
+                    assert space.reach_mask(members) == expected, (seed, members)
+
+    def test_reach_mask_decided_once_per_set(self, monkeypatch):
+        space, _ = generate_scenario(GeneratorConfig(mode="finite", min_agents=5, max_agents=6), 3)
+        queried = Counter()
+        real = DeliberationSpace.approvers
+
+        def counted(self, ref):
+            queried[ref] += 1
+            return real(self, ref)
+
+        monkeypatch.setattr(DeliberationSpace, "approvers", counted)
+        sets = [space.agent_ids[:k] for k in range(len(space.agent_ids) + 1)]
+        once = {pid: len(sets) for pid in space.candidate_ids}
+        first = [space.reach_mask(members) for members in sets]
+        assert queried == once
+        assert [space.reach_mask(frozenset(members)) for members in sets] == first
+        assert queried == once
 
     @pytest.mark.parametrize(
         "space, known, unknown",
