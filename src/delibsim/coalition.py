@@ -34,10 +34,13 @@ class DeliberativeCoalition:
         prop = self.proposal
         if not isinstance(prop, str):
             object.__setattr__(self, "proposal", tuple(float(c) for c in prop))
+        # Coalitions key the space's move memo, so the hash and the size are
+        # read far more often than coalitions are built.
+        object.__setattr__(self, "size", len(self.members))
+        object.__setattr__(self, "_hash", hash((self.members, self.proposal)))
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def supports_status_quo(self) -> bool:

@@ -255,14 +255,16 @@ def explore(
             if not ok and first_unsuccessful is None:
                 first_unsuccessful = key
             continue
+        state_potential = potential(state)
+        state_signature = signature(state)
         for move in moves:
             successor = apply_transition(state, space, move)
             edges += 1
             if move.kind in POTENTIAL_KINDS:
-                if potential(successor) <= potential(state):
+                if potential(successor) <= state_potential:
                     potential_monotone = False
             if move.kind in SIGNATURE_KINDS:
-                if not lex_less(signature(state), signature(successor)):
+                if not lex_less(state_signature, signature(successor)):
                     signature_monotone = False
             successor_key = canonical_key(successor)
             if successor_key in structures:

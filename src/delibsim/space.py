@@ -1,11 +1,17 @@
 """Deliberation spaces: agents, proposals and support queries over a metric.
 
-A space is immutable after construction.  The approval relation is memoized
-per proposal (``approvers``), and every query reads it as set algebra.  Two
-memos are kept per agent set, because the enumerators probe the same
-coalitions and subsets over and over: in finite spaces the candidates the set
-reaches (``reach_mask``), and in continuous spaces its joint feasibility
-(``feasible_witness``).
+A space is immutable after construction, so three memos live on it:
+
+- the approval relation, per proposal (``approvers``), which every query
+  reads as set algebra;
+- per agent set, because the enumerators probe the same coalitions and
+  subsets over and over: in finite spaces the candidates the set reaches
+  (``reach_mask``), in continuous spaces its joint feasibility
+  (``feasible_witness``);
+- per (kind, source coalition, destination coalition), the legal moves of
+  the pair (``_moves``), which ``transitions`` fills and reads: enumeration
+  emits each pair's entry, and revalidation accepts a move found there and
+  asks the legality rule about any other.
 """
 
 from __future__ import annotations
@@ -131,6 +137,8 @@ class DeliberationSpace:
         self._approvers: dict[ProposalRef, frozenset[str]] = {}
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
         self._reach: dict[frozenset, int] = {}
+        # (kind, src, dst) -> (target, movers) of each legal move; filled by transitions
+        self._moves: dict[tuple, tuple] = {}
         self._support: Optional[SupportReport] = None
 
     # -- construction helpers -------------------------------------------------

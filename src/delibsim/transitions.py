@@ -10,9 +10,23 @@ on differ (``_pair_targets``): single_agent and follow take the
 destination's proposal, and the pair moves the candidates of a finite space
 that both coalitions reach (``reach_mask``) or the witnesses of a
 continuous space's joint-feasibility test, ``feasible_witness``.
+
+The moves of a pair are a pure function of (kind, source coalition,
+destination coalition) on an immutable space, and a step changes only the
+two coalitions it touches, so enumeration memoizes them on the space: the
+(target, movers) of every legal move, which ``_pair_moves`` derives the
+first time the pair is met, with the continuous first-witness dedupe
+applied while the entry is filled.  Empty results are stored too; a
+``SubsetCapError`` raised mid-fill stores nothing.  Enumeration emits each
+pair's entry through a trusted path that skips the ``Transition``
+constructor's re-normalisation.
+
 ``apply_transition`` revalidates its input against the current structure,
 so a stale transition (enumerated from a different structure) fails loudly
-instead of corrupting the run.
+instead of corrupting the run.  A move found in its pair's memo entry is
+legal, because the entry came from ``_legal_movers`` on equal coalitions;
+any other move (forged, built by hand, or a continuous witness other than
+the first) is judged by ``_legal_movers`` itself.
 """
 
 from __future__ import annotations
@@ -69,6 +83,18 @@ class Transition:
         prop = self.target_proposal
         if not isinstance(prop, str):
             object.__setattr__(self, "target_proposal", tuple(float(c) for c in prop))
+
+    @classmethod
+    def _trusted(
+        cls, kind: str, sources: tuple[int, int], target: ProposalRef,
+        movers: tuple[frozenset[str], frozenset[str]],
+    ) -> "Transition":
+        """A transition from values that are already normalised, unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(
+            t, "__dict__", {"kind": kind, "sources": sources, "target_proposal": target, "movers": movers}
+        )
+        return t
 
     @property
     def moving_agents(self) -> frozenset[str]:
@@ -194,14 +220,41 @@ def _pair_targets(
             yield witness
 
 
+Move = tuple[ProposalRef, tuple[frozenset[str], frozenset[str]]]
+
+
+def _pair_moves(
+    kind: str,
+    src: DeliberativeCoalition,
+    dst: DeliberativeCoalition,
+    space: DeliberationSpace,
+) -> tuple[Move, ...]:
+    """The (target, movers) of every legal ``kind`` move of the pair, in enumeration order.
+
+    In a continuous space many witnesses give the same movers, and only the
+    first witness for each distinct pair of mover sets is kept.
+    """
+    found: list[Move] = []
+    seen: set[tuple[frozenset[str], frozenset[str]]] = set()
+    dedupe = space.is_continuous
+    for target in _pair_targets(kind, src, dst, space):
+        for movers in _legal_movers(kind, src, dst, space, target):
+            if dedupe:
+                if movers in seen:
+                    continue
+                seen.add(movers)
+            found.append((target, movers))
+    return tuple(found)
+
+
 def enumerate_transitions(
     structure: CoalitionStructure, space: DeliberationSpace, kind: str
 ) -> list[Transition]:
     """Every available transition of one kind, in a deterministic order.
 
     Merge and compromise take unordered pairs of coalitions, the other kinds
-    ordered ones.  In a continuous space many witnesses give the same movers,
-    and only the first witness for each distinct pair of mover sets is kept.
+    ordered ones.  Each pair's moves are read from the space's memo, and
+    derived by ``_pair_moves`` the first time the pair is met.
     """
     if kind not in TRANSITION_KINDS:
         raise TransitionError(f"unknown transition kind {kind!r}")
@@ -212,17 +265,16 @@ def enumerate_transitions(
         if kind in ("merge", "compromise")
         else itertools.permutations(active, 2)
     )
-    dedupe = space.is_continuous
-    for i, j in pairs:
-        src, dst = structure[i], structure[j]
-        seen: set[tuple[frozenset[str], frozenset[str]]] = set()
-        for target in _pair_targets(kind, src, dst, space):
-            for movers in _legal_movers(kind, src, dst, space, target):
-                if dedupe:
-                    if movers in seen:
-                        continue
-                    seen.add(movers)
-                out.append(Transition(kind, (i, j), target, movers))
+    coalitions, memo, trusted = structure.coalitions, space._moves, Transition._trusted
+    for sources in pairs:
+        i, j = sources
+        src, dst = coalitions[i], coalitions[j]
+        key = (kind, src, dst)
+        moves = memo.get(key)
+        if moves is None:
+            moves = memo[key] = _pair_moves(kind, src, dst, space)
+        for target, movers in moves:
+            out.append(trusted(kind, sources, target, movers))
     return out
 
 
@@ -242,6 +294,8 @@ def _revalidate(
         fail("status quo coalitions never participate")
     if src.size == 0 or dst.size == 0:
         fail("empty source coalition")
+    if (t.target_proposal, t.movers) in space._moves.get((t.kind, src, dst), ()):
+        return
     if t.movers not in _legal_movers(t.kind, src, dst, space, t.target_proposal):
         fail("movers are not the ones the rule gives for the target")
 

@@ -56,6 +56,9 @@ class TestNaiveTransitions:
         # the reach filter drops far more targets there than at the start.
         # The oracle loops over pairs, candidates and agents in declaration
         # order, so the lists agree element for element, not only as sets.
+        # The unfiltered pass runs on a fresh space of the same seed, so it
+        # derives every pair's moves again instead of reading the memo the
+        # filtered pass filled; structures are values and carry over.
         config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
         grouped = 0
         for seed in range(1, 41):
@@ -65,9 +68,10 @@ class TestNaiveTransitions:
             filtered = [enumerate_transitions(state, space, kind) for state, kind in cases]
             for (state, kind), mine in zip(cases, filtered):
                 assert mine == naive_transitions(state, space, kind), (seed, kind, state)
+            fresh, _ = generate_scenario(config, seed)
             with monkeypatch.context() as patch:
                 patch.setattr(DeliberationSpace, "reach_mask", lambda self, ids: -1)
-                unfiltered = [enumerate_transitions(state, space, kind) for state, kind in cases]
+                unfiltered = [enumerate_transitions(state, fresh, kind) for state, kind in cases]
             assert filtered == unfiltered, seed
             grouped += sum(any(c.size > 1 for c in state) for state in states)
         assert grouped > 100

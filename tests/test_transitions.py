@@ -7,9 +7,11 @@ from typing import Callable, NamedTuple, Optional
 
 import pytest
 
+from delibsim import transitions
 from delibsim import (
     TRANSITION_KINDS,
     GeneratorConfig,
+    Policy,
     StaleTransitionError,
     SubsetCapError,
     Transition,
@@ -18,6 +20,7 @@ from delibsim import (
     builtin_fixture,
     enumerate_transitions,
     generate_scenario,
+    run,
 )
 
 from conftest import line_space, structure
@@ -412,3 +415,96 @@ def test_enumerated_continuous_moves_apply():
     """Every move enumerated from a generated initial structure revalidates."""
     config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
     assert _apply_every_enumerated_move(config) > 0
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+FINITE_TEN = GeneratorConfig(mode="finite", min_agents=10, max_agents=10)
+
+
+def _finite_run(seed=3):
+    """A generated finite scenario, its run under every kind, and the run's structures."""
+    space, initial = generate_scenario(FINITE_TEN, seed)
+    trace = run(space, initial, Policy((TRANSITION_KINDS,), "uniform_random", seed))
+    states = [initial]
+    for step in trace.steps:
+        states.append(apply_transition(states[-1], space, step.transition))
+    return space, trace, states
+
+
+class TestMoveMemo:
+    """Each pair's moves are derived once per space and read back after."""
+
+    def test_pair_targets_once_per_pair(self, monkeypatch):
+        probed = _counted(monkeypatch, transitions, "_pair_targets")
+        space, trace, states = _finite_run()
+        assert len(trace.steps) >= 5
+        evaluations = 0
+        for state in states:
+            active = sum(c.size > 0 and not c.supports_status_quo for c in state)
+            for kind in TRANSITION_KINDS:
+                enumerate_transitions(state, space, kind)
+                pairs = active * (active - 1)
+                evaluations += pairs // 2 if kind in ("merge", "compromise") else pairs
+        keys = [(kind, src, dst) for kind, src, dst, _ in probed]
+        assert len(keys) == len(set(keys))
+        assert len(keys) < evaluations
+        before = len(probed)
+        again = [enumerate_transitions(states[0], space, kind) for kind in TRANSITION_KINDS]
+        assert len(probed) == before
+        probed.clear()
+        space._moves.clear()
+        fresh = [enumerate_transitions(states[0], space, kind) for kind in TRANSITION_KINDS]
+        assert probed and fresh == again
+
+    def test_enumerated_moves_revalidate_from_memo(self, monkeypatch):
+        space, initial = generate_scenario(FINITE_TEN, 3)
+        moves = [t for kind in TRANSITION_KINDS for t in enumerate_transitions(initial, space, kind)]
+        assert moves
+        probed = _counted(monkeypatch, transitions, "_legal_movers")
+        for t in moves:
+            apply_transition(initial, space, t)
+        assert probed == []
+
+    @pytest.mark.parametrize("case", ["finite-subsume", "continuous-compromise"])
+    def test_forged_move_asks_the_rule(self, monkeypatch, case):
+        space, s, legal, forgery = TestForgedPairMoves().build_case(case)
+        movers_i, movers_j = legal.movers
+        forged = replace(legal, movers=(movers_i | {forgery.outsider}, movers_j))
+        probed = _counted(monkeypatch, transitions, "_legal_movers")
+        with pytest.raises(StaleTransitionError):
+            apply_transition(s, space, forged)
+        assert len(probed) == 1
+
+
+class TestTrustedTransitions:
+    def test_run_builds_no_transition_through_the_constructor(self, monkeypatch):
+        built = _counted(monkeypatch, Transition, "__post_init__")
+        _, trace, _ = _finite_run()
+        assert len(trace.steps) >= 5
+        assert built == []
+
+    def test_trusted_transitions_equal_constructed_ones(self):
+        space, _, states = _finite_run()
+        for kind in TRANSITION_KINDS:
+            for t in enumerate_transitions(states[0], space, kind):
+                rebuilt = Transition(t.kind, t.sources, t.target_proposal, t.movers)
+                assert rebuilt == t and hash(rebuilt) == hash(t)
+
+    def test_constructor_still_normalises(self):
+        t = Transition("merge", [0, 1], "a", [{"v1"}, set()])
+        assert t.sources == (0, 1) and type(t.sources) is tuple
+        assert all(type(i) is int for i in t.sources)
+        assert t.movers == (frozenset({"v1"}), frozenset())
+        assert type(t.movers) is tuple and all(type(m) is frozenset for m in t.movers)
