@@ -2,7 +2,13 @@
 
 The corpus pins every builtin fixture under two policies and the first ten
 scenarios of the continuous family shared by criteria 8-10 under three
-policies.  A refactor that is meant to keep behaviour must leave every file
+policies.  It also pins ``explore`` over all five kinds on every builtin
+fixture and the first ten small finite scenarios, and under two restricted
+kind lists on two larger scenarios whose graphs end in unsuccessful
+terminals, each at the default state cap and at two lower caps that
+truncate the larger graphs: counts, flags, terminal keys, the witness and
+the order of ``structures``.
+A refactor that is meant to keep behaviour must leave every file
 byte-identical.  To rewrite the corpus after an intended behaviour change,
 run ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
 and give the reason in ``CHANGES.md``.
@@ -10,6 +16,7 @@ and give the reason in ``CHANGES.md``.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -21,10 +28,13 @@ from delibsim import (
     GeneratorConfig,
     Policy,
     builtin_fixture,
+    explore,
     generate_scenario,
     run,
     write_trace,
 )
+from delibsim.oracle import DEFAULT_STATE_CAP
+from delibsim.scenario_io import encode_transition
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,10 +45,35 @@ CONTINUOUS_SEEDS = range(1, 11)
 CONTINUOUS_CONFIG = GeneratorConfig(
     mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3)
 )
+EXPLORE_CAPS = {"full": DEFAULT_STATE_CAP, "cap20": 20, "cap3": 3}
+EXPLORE_SEEDS = range(1, 11)
+EXPLORE_CONFIG = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
+EXPLORE_WITNESS_SEEDS = (185, 237)
+EXPLORE_WITNESS_KINDS = ("merge", "single_agent,follow")
 
 
 def _policy_tag(text: str) -> str:
     return "all" if text == ALL_KINDS else text.replace(">", "_over_")
+
+
+def explore_text(space, initial, state_cap: int, kinds: str = ALL_KINDS) -> str:
+    """Canonical JSON of everything an explore report pins."""
+    report = explore(space, initial, kinds.split(","), state_cap=state_cap)
+    witness = report.unsuccessful_witness
+    payload = {
+        "states_visited": report.states_visited,
+        "edges": report.edges,
+        "truncated": report.truncated,
+        "terminal_keys": list(report.terminal_keys),
+        "terminal_successful": list(report.terminal_successful),
+        "potential_monotone": report.potential_monotone,
+        "signature_monotone": report.signature_monotone,
+        "unsuccessful_witness": (
+            None if witness is None else [encode_transition(t) for t in witness]
+        ),
+        "structures": list(report.structures),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def golden_cases() -> dict[str, object]:
@@ -60,6 +95,20 @@ def golden_cases() -> dict[str, object]:
                     run(space, initial, policy, scenario_ref=f"gen:continuous:{seed}")
                 )
             cases[f"continuous.{_policy_tag(text)}.seed{seed}.json"] = make
+    for tag, cap in EXPLORE_CAPS.items():
+        for name in FIXTURE_NAMES:
+            def make(name=name, cap=cap):
+                return explore_text(*builtin_fixture(name), cap)
+            cases[f"explore.{name}.{tag}.json"] = make
+        for seed in EXPLORE_SEEDS:
+            def make(seed=seed, cap=cap):
+                return explore_text(*generate_scenario(EXPLORE_CONFIG, seed), cap)
+            cases[f"explore.finite.seed{seed}.{tag}.json"] = make
+        for seed in EXPLORE_WITNESS_SEEDS:
+            for kinds in EXPLORE_WITNESS_KINDS:
+                def make(seed=seed, cap=cap, kinds=kinds):
+                    return explore_text(*generate_scenario(EXPLORE_CONFIG, seed), cap, kinds)
+                cases[f"explore.finite.seed{seed}.{kinds.replace(',', '_')}.{tag}.json"] = make
     return cases
 
 
