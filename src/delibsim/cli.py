@@ -68,9 +68,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _kind_list(text: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
-    for kind in kinds:
+    for index, kind in enumerate(kinds):
         if kind not in TRANSITION_KINDS:
             raise argparse.ArgumentTypeError(f"unknown transition kind {kind!r}")
+        if kind in kinds[:index]:
+            raise argparse.ArgumentTypeError(f"transition kind {kind!r} appears twice")
     if not kinds:
         raise argparse.ArgumentTypeError("empty kind list")
     return kinds

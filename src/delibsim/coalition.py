@@ -39,6 +39,16 @@ class DeliberativeCoalition:
         object.__setattr__(self, "size", len(self.members))
         object.__setattr__(self, "_hash", hash((self.members, self.proposal)))
 
+    @classmethod
+    def _trusted(cls, members: frozenset[str], proposal: ProposalRef) -> "DeliberativeCoalition":
+        """A coalition from a frozenset and a normalised proposal, unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "__dict__", {
+            "members": members, "proposal": proposal,
+            "size": len(members), "_hash": hash((members, proposal)),
+        })
+        return c
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -55,6 +65,13 @@ class CoalitionStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "coalitions", tuple(self.coalitions))
+
+    @classmethod
+    def _trusted(cls, coalitions: tuple[DeliberativeCoalition, ...]) -> "CoalitionStructure":
+        """A structure from a tuple of coalitions, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "__dict__", {"coalitions": coalitions})
+        return s
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Iterable[str], ProposalRef]]) -> "CoalitionStructure":

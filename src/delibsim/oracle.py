@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 from .coalition import (
     CoalitionStructure,
+    DeliberativeCoalition,
+    Signature,
     canonical_key,
     canonicalize,
     is_successful,
@@ -33,6 +35,9 @@ from .transitions import (
 )
 
 DEFAULT_STATE_CAP = 200_000
+
+# A structure's state id in ``explore``: the set of its non-empty coalitions.
+_StateId = frozenset[DeliberativeCoalition]
 
 
 class OracleError(ValueError):
@@ -185,13 +190,17 @@ def naive_transitions(
 class ExploreReport:
     """Exhaustive reachability report over canonicalized structures.
 
-    ``terminal_keys`` lists canonical keys of states with no allowed
-    transition, with ``terminal_successful`` aligned.  The witness path is a
-    shortest transition sequence from the initial structure to some
-    unsuccessful terminal, or None when every terminal is successful.
-    ``potential_monotone`` covers single_agent/follow/merge/subsume edges,
-    ``signature_monotone`` covers compromise/subsume edges; both true means
-    the explored graph is acyclic under the corresponding orders.
+    The search deduplicates states as sets of coalitions; ``structures``
+    maps the ``canonical_key`` string of every visited state, built once per
+    state, to its canonical structure, in the order the search reached them.
+    ``terminal_keys`` lists the keys of states with no allowed transition,
+    in the order they were expanded, with ``terminal_successful`` aligned.
+    The witness path is a shortest transition sequence from the initial
+    structure to some unsuccessful terminal, or None when every terminal is
+    successful.  ``potential_monotone`` covers single_agent/follow/merge/
+    subsume edges, ``signature_monotone`` covers compromise/subsume edges;
+    both true means the explored graph is acyclic under the corresponding
+    orders.
     """
 
     states_visited: int
@@ -218,63 +227,74 @@ def explore(
 ) -> ExploreReport:
     """Breadth-first search of every structure reachable under the kinds.
 
-    States are canonical forms; the cap bounds visited states and a capped
-    search reports ``truncated`` with the partial graph retained.
+    A structure partitions the agents, so the set of its non-empty
+    coalitions identifies its canonical form, and the search deduplicates
+    states on that set.  A state is canonicalized and its potential and
+    signature computed once, when it is first reached; every later edge
+    into it reads them back.  The ``canonical_key`` strings of the report
+    are built once per visited state, after the search.  Each kind may be
+    listed once.  The cap bounds visited states and a capped search reports
+    ``truncated`` with the partial graph retained.
     """
     if space.is_continuous:
         raise OracleError("exploration needs a finite proposal list")
     if state_cap < 1:
         raise OracleError(f"state cap must be at least 1, got {state_cap}")
-    for kind in kinds:
+    for index, kind in enumerate(kinds):
         if kind not in TRANSITION_KINDS:
             raise OracleError(f"unknown transition kind {kind!r}")
+        if kind in kinds[:index]:
+            raise OracleError(f"transition kind {kind!r} appears twice")
 
     start = canonicalize(initial)
-    start_key = canonical_key(start)
-    structures: dict[str, CoalitionStructure] = {start_key: start}
-    parents: dict[str, tuple[Optional[str], Optional[Transition]]] = {start_key: (None, None)}
-    queue: deque[str] = deque([start_key])
-    terminal_keys: list[str] = []
-    terminal_successful: list[bool] = []
-    first_unsuccessful: Optional[str] = None
+    start_id: _StateId = frozenset(start.coalitions)
+    # Keyed by state id, in the order the search reached the states.
+    structures: dict[_StateId, CoalitionStructure] = {start_id: start}
+    measures: dict[_StateId, tuple[int, Signature]] = {start_id: (potential(start), signature(start))}
+    parents: dict[_StateId, tuple[Optional[_StateId], Optional[Transition]]] = {
+        start_id: (None, None)
+    }
+    queue: deque[_StateId] = deque([start_id])
+    terminals: list[tuple[_StateId, bool]] = []
+    first_unsuccessful: Optional[_StateId] = None
     truncated = False
     edges = 0
     potential_monotone = True
     signature_monotone = True
 
     while queue:
-        key = queue.popleft()
-        state = structures[key]
+        state_id = queue.popleft()
+        state = structures[state_id]
         moves: list[Transition] = []
         for kind in kinds:
             moves.extend(enumerate_transitions(state, space, kind))
         if not moves:
             ok = is_successful(state, space)
-            terminal_keys.append(key)
-            terminal_successful.append(ok)
+            terminals.append((state_id, ok))
             if not ok and first_unsuccessful is None:
-                first_unsuccessful = key
+                first_unsuccessful = state_id
             continue
-        state_potential = potential(state)
-        state_signature = signature(state)
+        state_potential, state_signature = measures[state_id]
         for move in moves:
             successor = apply_transition(state, space, move)
             edges += 1
-            if move.kind in POTENTIAL_KINDS:
-                if potential(successor) <= state_potential:
-                    potential_monotone = False
-            if move.kind in SIGNATURE_KINDS:
-                if not lex_less(state_signature, signature(successor)):
-                    signature_monotone = False
-            successor_key = canonical_key(successor)
-            if successor_key in structures:
-                continue
-            if len(structures) >= state_cap:
-                truncated = True
-                continue
-            structures[successor_key] = canonicalize(successor)
-            parents[successor_key] = (key, move)
-            queue.append(successor_key)
+            # apply_transition drops empty coalitions, so this is the state id.
+            successor_id = frozenset(successor.coalitions)
+            measured = measures.get(successor_id)
+            if measured is None:
+                measured = (potential(successor), signature(successor))
+                if len(structures) >= state_cap:
+                    truncated = True
+                else:
+                    structures[successor_id] = canonicalize(successor)
+                    measures[successor_id] = measured
+                    parents[successor_id] = (state_id, move)
+                    queue.append(successor_id)
+            successor_potential, successor_signature = measured
+            if move.kind in POTENTIAL_KINDS and successor_potential <= state_potential:
+                potential_monotone = False
+            if move.kind in SIGNATURE_KINDS and not lex_less(state_signature, successor_signature):
+                signature_monotone = False
 
     witness: Optional[tuple[Transition, ...]] = None
     if first_unsuccessful is not None:
@@ -288,15 +308,17 @@ def explore(
             cursor = parent
         witness = tuple(reversed(path))
 
+    keys = {state_id: canonical_key(state) for state_id, state in structures.items()}
+    terminal_successful = tuple(ok for _, ok in terminals)
     return ExploreReport(
         states_visited=len(structures),
         edges=edges,
         truncated=truncated,
-        terminal_keys=tuple(terminal_keys),
-        terminal_successful=tuple(terminal_successful),
-        all_terminals_successful=all(terminal_successful) if terminal_keys else True,
+        terminal_keys=tuple(keys[state_id] for state_id, _ in terminals),
+        terminal_successful=terminal_successful,
+        all_terminals_successful=all(terminal_successful),
         unsuccessful_witness=witness,
         potential_monotone=potential_monotone,
         signature_monotone=signature_monotone,
-        structures=structures,
+        structures={keys[state_id]: state for state_id, state in structures.items()},
     )

@@ -278,26 +278,30 @@ def enumerate_transitions(
     return out
 
 
+def _stale(t: Transition, reason: str) -> StaleTransitionError:
+    return StaleTransitionError(f"stale {t.kind} transition: {reason}")
+
+
 def _revalidate(
     structure: CoalitionStructure, space: DeliberationSpace, t: Transition
-) -> None:
-    def fail(reason: str):
-        raise StaleTransitionError(f"stale {t.kind} transition: {reason}")
-
+) -> tuple[DeliberativeCoalition, DeliberativeCoalition]:
+    """The source and destination coalitions of a legal move, or raise."""
     if len(t.sources) != 2 or len(t.movers) != 2:
-        fail("expected exactly two sources")
+        raise _stale(t, "expected exactly two sources")
     i, j = t.sources
-    if not (0 <= i < len(structure) and 0 <= j < len(structure)) or i == j:
-        fail("source indices out of range")
-    src, dst = structure[i], structure[j]
+    coalitions = structure.coalitions
+    if not (0 <= i < len(coalitions) and 0 <= j < len(coalitions)) or i == j:
+        raise _stale(t, "source indices out of range")
+    src, dst = coalitions[i], coalitions[j]
     if src.supports_status_quo or dst.supports_status_quo:
-        fail("status quo coalitions never participate")
+        raise _stale(t, "status quo coalitions never participate")
     if src.size == 0 or dst.size == 0:
-        fail("empty source coalition")
+        raise _stale(t, "empty source coalition")
     if (t.target_proposal, t.movers) in space._moves.get((t.kind, src, dst), ()):
-        return
+        return src, dst
     if t.movers not in _legal_movers(t.kind, src, dst, space, t.target_proposal):
-        fail("movers are not the ones the rule gives for the target")
+        raise _stale(t, "movers are not the ones the rule gives for the target")
+    return src, dst
 
 
 def apply_transition(
@@ -308,26 +312,27 @@ def apply_transition(
     Untouched coalitions keep their order.  Single_agent and follow move
     their movers from the source into the destination in place, merges land
     at the first source index, compromises and subsumes append the new
-    coalition at the end and keep leftovers in place.
+    coalition at the end and keep leftovers in place.  The operands are
+    frozensets and normalised proposals already, so the result's coalitions
+    and structure are built without the constructors' re-normalisation.
     """
-    _revalidate(structure, space, t)
+    src, dst = _revalidate(structure, space, t)
     i, j = t.sources
     movers_i, movers_j = t.movers
+    coalition = DeliberativeCoalition._trusted
     new_list: list[Optional[DeliberativeCoalition]] = list(structure.coalitions)
 
     if t.kind in ("single_agent", "follow"):
-        new_list[i] = DeliberativeCoalition(structure[i].members - movers_i, structure[i].proposal)
-        new_list[j] = DeliberativeCoalition(structure[j].members | movers_i, structure[j].proposal)
+        new_list[i] = coalition(src.members - movers_i, src.proposal)
+        new_list[j] = coalition(dst.members | movers_i, dst.proposal)
     elif t.kind == "merge":
-        first, second = min(i, j), max(i, j)
-        new_list[first] = DeliberativeCoalition(
-            structure[i].members | structure[j].members, t.target_proposal
-        )
-        new_list[second] = None
+        new_list[min(i, j)] = coalition(src.members | dst.members, t.target_proposal)
+        new_list[max(i, j)] = None
     else:  # compromise and subsume share the frame
-        new_list[i] = DeliberativeCoalition(structure[i].members - movers_i, structure[i].proposal)
-        new_list[j] = DeliberativeCoalition(structure[j].members - movers_j, structure[j].proposal)
-        new_list.append(DeliberativeCoalition(movers_i | movers_j, t.target_proposal))
+        new_list[i] = coalition(src.members - movers_i, src.proposal)
+        new_list[j] = coalition(dst.members - movers_j, dst.proposal)
+        new_list.append(coalition(movers_i | movers_j, t.target_proposal))
 
-    result = tuple(c for c in new_list if c is not None and c.size > 0)
-    return CoalitionStructure(result)
+    return CoalitionStructure._trusted(
+        tuple([c for c in new_list if c is not None and c.size > 0])
+    )

@@ -42,6 +42,12 @@ class TestUsageErrors:
             main(["transitions", "--fixture", "example1", "--kinds", "teleport"])
         assert err.value.code == 1
 
+    def test_repeated_kind(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--fixture", "example2", "--explore", "--kinds", "merge,merge"])
+        assert err.value.code == 1
+        assert "'merge' appears twice" in capsys.readouterr().err
+
     def test_bad_seed_range(self):
         with pytest.raises(SystemExit) as err:
             main(["batch", "--policies", "merge", "--seeds", "9..1"])

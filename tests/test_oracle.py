@@ -6,12 +6,16 @@ import pytest
 
 from delibsim import oracle
 from delibsim import (
+    CoalitionStructure,
     DeliberationSpace,
+    DeliberativeCoalition,
     GeneratorConfig,
     OracleError,
     TRANSITION_KINDS,
+    apply_transition,
     builtin_fixture,
     canonical_key,
+    canonicalize,
     enumerate_transitions,
     explore,
     generate_scenario,
@@ -133,11 +137,83 @@ class TestExplore:
         space, init = builtin_fixture("example4")
         assert not explore(space, init, ("compromise",)).signature_monotone
 
+    def test_repeated_kind(self):
+        space, init = builtin_fixture("example2")
+        assert explore(space, init, ["merge"]).edges == 1
+        with pytest.raises(OracleError, match="'merge' appears twice"):
+            explore(space, init, ["merge", "merge"])
+
+    @pytest.mark.parametrize("state_cap", [oracle.DEFAULT_STATE_CAP, 20])
+    def test_work_per_state_and_edge(self, monkeypatch, state_cap):
+        # Keys are built once per visited state and measures once per state
+        # reached, while every edge is still applied, and so revalidated.
+        # A successor the cap drops is measured on each edge into it.
+        config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
+        calls = {}
+        successors = []
+
+        def counted(name, record=None):
+            original = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                result = original(*args)
+                if record is not None:
+                    record.append(result)
+                return result
+
+            monkeypatch.setattr(oracle, name, wrapper)
+
+        counted("canonical_key")
+        counted("potential")
+        counted("signature")
+        counted("apply_transition", successors)
+        truncated = 0
+        for seed in (185, 237, 276):
+            space, init = generate_scenario(config, seed)
+            calls.clear()
+            successors.clear()
+            report = explore(space, init, TRANSITION_KINDS, state_cap=state_cap)
+            dropped = sum(canonical_key(s) not in report.structures for s in successors)
+            assert calls["canonical_key"] == report.states_visited, seed
+            assert calls["apply_transition"] == report.edges, seed
+            assert calls["potential"] <= report.states_visited + dropped, seed
+            assert calls["signature"] <= report.states_visited + dropped, seed
+            truncated += report.truncated
+        assert truncated == (state_cap == 20) * 3
+
     def test_truncation(self):
         space, init = builtin_fixture("example1")
         report = explore(space, init, TRANSITION_KINDS, state_cap=1)
         assert report.truncated
         assert report.states_visited == 1
+
+    def test_successors_are_public_values(self):
+        # apply_transition builds coalitions and structures without the
+        # public constructors' normalisation; the values must not differ.
+        config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
+        applied = 0
+        for seed in range(1, 41):
+            space, init = generate_scenario(config, seed)
+            report = explore(space, init, TRANSITION_KINDS)
+            for key, state in report.structures.items():
+                assert canonical_key(state) == key, seed
+                assert canonicalize(state) == state, seed
+                for kind in TRANSITION_KINDS:
+                    for move in enumerate_transitions(state, space, kind):
+                        successor = apply_transition(state, space, move)
+                        public = CoalitionStructure(tuple(
+                            DeliberativeCoalition(c.members, c.proposal)
+                            for c in successor
+                        ))
+                        assert successor == public, (seed, move)
+                        assert hash(successor) == hash(public)
+                        assert repr(successor) == repr(public)
+                        for mine, theirs in zip(successor, public):
+                            assert hash(mine) == hash(theirs)
+                            assert mine.size == theirs.size
+                        applied += 1
+        assert applied > 1000
 
     def test_structures_keyed_canonically(self):
         space, init = builtin_fixture("example3")
