@@ -7,19 +7,20 @@ all state.
 Joint feasibility is decided exactly by hull separation: agents share a
 proposal they all strictly approve iff the status quo lies outside the convex
 hull of their locations, and ``separated_proposal`` accepts a set only when
-the hull misses the status quo by more than ``APPROVAL_MARGIN``.
+the hull misses the status quo by more than ``APPROVAL_MARGIN``.  The hull
+projection (``nearest_point_in_hull``) is plain Python on coordinate tuples.
 ``best_common_proposal`` (SLSQP multistart) reports the optimal worst-case
 approval margin for callers that need the margin itself; it is the only user
-of scipy, which is imported on its first call rather than with the package.
+of numpy and scipy, which it imports on its first call, so importing the
+package and running, batching or exploring scenarios load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 Coords = tuple[float, ...]
 PointRef = Union[Coords, str]
@@ -174,28 +175,50 @@ class FeasibilityResult:
         return self.margin < -APPROVAL_MARGIN
 
 
-def _point_rows(points: Iterable[Sequence[float]]) -> np.ndarray:
-    rows = np.asarray([tuple(float(c) for c in p) for p in points], dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
+def _coord_rows(points: Iterable[Sequence[float]]) -> list[Coords]:
+    rows = [tuple(map(float, p)) for p in points]
+    if not rows:
         raise MetricError("need a non-empty sequence of coordinate points", clause="space.coords")
-    if not np.all(np.isfinite(rows)):
+    dimension = len(rows[0])
+    if any(len(row) != dimension for row in rows):
+        raise MetricError("points of mixed dimension", clause="space.dimension")
+    if not all(all(map(math.isfinite, row)) for row in rows):
         raise MetricError("non-finite coordinate", clause="space.coords")
     return rows
 
 
-def _affine_minimizer(active_rows: np.ndarray) -> np.ndarray:
-    # Minimize ||sum_i w_i q_i|| subject to sum_i w_i = 1 via the KKT system.
-    m = active_rows.shape[0]
-    system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = active_rows @ active_rows.T
-    system[:m, m] = 1.0
-    system[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
+    """Weights w minimizing ||sum_i w_i q_i|| subject to sum_i w_i = 1, or None.
+
+    Solves the (m+1)x(m+1) KKT system [G 1; 1' 0] [w; mu] = [0; 1], with G
+    the Gram matrix of the rows, by Gaussian elimination with partial
+    pivoting (ties toward the lower row).  The system is singular exactly
+    when the rows are affinely dependent; None reports an exactly zero
+    pivot.
+    """
+    m = len(active_rows)
+    n = m + 1
+    system = [[sum(map(mul, a, b)) for b in active_rows] + [1.0, 0.0] for a in active_rows]
+    system.append([1.0] * m + [0.0, 1.0])
+    for col in range(n):
+        pivot = col
+        for r in range(col + 1, n):
+            if abs(system[r][col]) > abs(system[pivot][col]):
+                pivot = r
+        top = system[pivot]
+        if top[col] == 0.0:
+            return None
+        system[pivot] = system[col]
+        system[col] = top
+        for row in system[col + 1:]:
+            factor = row[col] / top[col]
+            if factor:
+                for k in range(col, n + 1):
+                    row[k] -= factor * top[k]
+    sol = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = system[i]
+        sol[i] = (row[n] - sum(map(mul, row[i + 1:n], sol[i + 1:]))) / row[i]
     return sol[:m]
 
 
@@ -210,69 +233,63 @@ def nearest_point_in_hull(
     active set and drop generators whose weight would turn negative.  Ties
     break toward the lowest input index, so the result is deterministic in
     the generator order.  Terminates finitely in exact arithmetic; a cap of
-    ``HULL_ITERATION_CAP`` major cycles guards float stalls.
+    ``HULL_ITERATION_CAP`` major cycles guards float stalls.  Empty,
+    non-finite or mixed-dimension input raises ``MetricError``.
     """
-    pts = _point_rows(generators)
-    tgt = np.asarray(tuple(float(c) for c in target), dtype=float)
-    if tgt.shape != (pts.shape[1],):
-        raise MetricError("target dimension does not match generators", clause="space.dimension")
+    rows = _coord_rows(generators)
+    tgt = _check_coords(target, len(rows[0]))
 
     # Exact duplicates make the minor cycle degenerate; keep first occurrences.
-    seen: dict[bytes, int] = {}
-    keep = []
-    for i in range(pts.shape[0]):
-        key = pts[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    pts = pts[keep]
+    q = [tuple(map(sub, row, tgt)) for row in dict.fromkeys(rows)]
+    sq_norms = [sum(map(mul, qi, qi)) for qi in q]
+    stop_tol = 1e-12 * (1.0 + max(sq_norms))
 
-    q = pts - tgt
-    sq_norms = np.einsum("ij,ij->i", q, q)
-    scale = 1.0 + float(sq_norms.max())
-    stop_tol = 1e-12 * scale
-
-    active = [int(np.argmin(sq_norms))]
-    weights = np.array([1.0])
-    x = q[active[0]].copy()
+    active = [sq_norms.index(min(sq_norms))]
+    weights = [1.0]
+    x = q[active[0]]
 
     for _ in range(HULL_ITERATION_CAP):
-        dots = q @ x
-        candidate = int(np.argmin(dots))
-        if dots[candidate] >= float(x @ x) - stop_tol:
-            break
-        if candidate in active:
+        dots = [sum(map(mul, qi, x)) for qi in q]
+        candidate = dots.index(min(dots))
+        if dots[candidate] >= sum(map(mul, x, x)) - stop_tol or candidate in active:
             break
         active.append(candidate)
-        weights = np.append(weights, 0.0)
+        weights.append(0.0)
         while True:
-            alpha = _affine_minimizer(q[active])
-            if np.all(alpha > _WEIGHT_FLOOR):
+            alpha = _affine_minimizer([q[a] for a in active])
+            if alpha is None:
+                # The candidate passed the descent test, so in exact
+                # arithmetic it lies off the affine hull of the active set
+                # and the system is regular; an exactly zero pivot means
+                # round-off in x let an affinely dependent point in.  Keep
+                # the current convex weights, a hull point, and stop.
+                break
+            if all(a > _WEIGHT_FLOOR for a in alpha):
                 weights = alpha
                 break
-            mask = alpha <= _WEIGHT_FLOOR
-            denom = weights - alpha
-            ratios = np.full(len(alpha), np.inf)
-            ok = mask & (denom > 1e-300)
-            ratios[ok] = weights[ok] / denom[ok]
-            drop = int(np.argmin(ratios))
-            theta = min(1.0, float(ratios[drop]))
-            weights = theta * alpha + (1.0 - theta) * weights
+            ratios = [
+                w / (w - a) if a <= _WEIGHT_FLOOR and w - a > 1e-300 else math.inf
+                for w, a in zip(weights, alpha)
+            ]
+            drop = ratios.index(min(ratios))
+            theta = min(1.0, ratios[drop])
+            weights = [theta * a + (1.0 - theta) * w for w, a in zip(weights, alpha)]
             weights[drop] = 0.0
-            weights[weights < _WEIGHT_FLOOR] = 0.0
-            keep_mask = weights > 0.0
-            if not np.any(keep_mask):
-                keep_mask[drop] = True
+            weights = [0.0 if w < _WEIGHT_FLOOR else w for w in weights]
+            if not any(weights):
                 weights[drop] = 1.0
-            active = [a for a, k in zip(active, keep_mask) if k]
-            weights = weights[keep_mask]
-            weights = weights / weights.sum()
+            active = [a for a, w in zip(active, weights) if w > 0.0]
+            weights = [w for w in weights if w > 0.0]
+            total = sum(weights)
+            weights = [w / total for w in weights]
             if len(active) == 1:
                 break
-        x = weights @ q[active]
+        x = tuple(sum(map(mul, weights, column)) for column in zip(*(q[a] for a in active)))
+        if alpha is None:
+            break
 
-    point = tuple(float(c) for c in (x + tgt))
-    return point, float(np.linalg.norm(x))
+    point = tuple(map(add, x, tgt))
+    return point, math.sqrt(sum(map(mul, x, x)))
 
 
 def separated_proposal(
@@ -281,8 +298,12 @@ def separated_proposal(
     """Nearest hull point of the agents if it clears the status quo, else None.
 
     When the hull misses the status quo by more than ``APPROVAL_MARGIN`` the
-    projection point q satisfies dist(v, r)^2 >= dist(v, q)^2 + dist(q, r)^2
-    for every generator v, so every agent strictly approves q.
+    projection point q satisfies dist(v, r)^2 >= dist(v, q)^2 + h^2 for every
+    generator v, with h = dist(q, r) the hull distance, so every agent
+    strictly approves q.  ``APPROVAL_MARGIN`` bounds h, not the approval
+    slack: dist(v, r)^2 - dist(v, q)^2 is only guaranteed to reach h^2, and
+    dist(v, r) - dist(v, q) only h^2 / (2 dist(v, r)), far below h when the
+    hull barely misses r.
     """
     point, dist_to_hull = nearest_point_in_hull(status_quo, agents)
     if dist_to_hull > APPROVAL_MARGIN:
@@ -295,10 +316,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
-
-
-def _max_slack(pts: np.ndarray, radii: np.ndarray, p: np.ndarray) -> float:
-    return float((np.linalg.norm(pts - p, axis=1) - radii).max())
 
 
 def best_common_proposal(
@@ -314,11 +331,15 @@ def best_common_proposal(
     is recomputed exactly at the witness, so it is always a true upper bound
     on the optimum.  Raises ``SolverError`` if no start converges.
     """
-    pts = _point_rows(agents)
-    r = np.asarray(tuple(float(c) for c in status_quo), dtype=float)
-    if r.shape != (pts.shape[1],):
-        raise MetricError("status quo dimension does not match agents", clause="space.dimension")
+    import numpy as np
+
+    rows = _coord_rows(agents)
+    pts = np.asarray(rows, dtype=float)
+    r = np.asarray(_check_coords(status_quo, len(rows[0])), dtype=float)
     radii = np.linalg.norm(pts - r, axis=1)
+
+    def max_slack(p) -> float:
+        return float((np.linalg.norm(pts - p, axis=1) - radii).max())
 
     if pts.shape[0] == 1:
         return FeasibilityResult(tuple(float(c) for c in pts[0]), -float(radii[0]))
@@ -342,11 +363,11 @@ def best_common_proposal(
         return jac
 
     starts = [r] + [pts[i] for i in range(pts.shape[0])] + [pts.mean(axis=0)]
-    best_point: Optional[np.ndarray] = None
+    best_point = None
     best_value = math.inf
     messages = []
     for p0 in starts:
-        z0 = np.append(p0, _max_slack(pts, radii, p0) + 1.0)
+        z0 = np.append(p0, max_slack(p0) + 1.0)
         result = minimize(
             lambda z: z[-1],
             z0,
@@ -359,7 +380,7 @@ def best_common_proposal(
             messages.append(str(result.message))
             continue
         candidate = result.x[:-1]
-        value = _max_slack(pts, radii, candidate)
+        value = max_slack(candidate)
         if value < best_value - 0.0:
             best_value = value
             best_point = candidate

@@ -285,7 +285,11 @@ class DeliberationSpace:
         set is feasible when the hull misses r by more than
         ``APPROVAL_MARGIN`` (the ``separated_proposal`` test) and every member
         strictly approves the nearest hull point q, which is the witness: for
-        each member v, |v - q|^2 <= |v - r|^2 - |q - r|^2.
+        each member v, |v - r|^2 - |v - q|^2 >= h^2 with h = |q - r|.
+        ``APPROVAL_MARGIN`` bounds the hull distance h, not this approval
+        slack: the seven agents of ``continuous_run`` seed 103, scenario
+        1156 have h = 4.1e-5, and the worst member is closer to q than to r
+        by only 1.2e-10 in distance.
         """
         key = frozenset(ids)
         if not key:

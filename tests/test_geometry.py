@@ -7,7 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delibsim.geometry
 from delibsim import (
     APPROVAL_MARGIN,
     EuclideanMetric,
@@ -20,6 +23,21 @@ from delibsim import (
     nearest_point_in_hull,
     separated_proposal,
 )
+
+
+def assert_projection(target, generators, point, dist):
+    """Certify that ``point`` is the projection of ``target`` onto conv(generators)."""
+    from scipy.optimize import nnls
+
+    # In the hull: nonnegative weights summing to one reproduce the point.
+    columns = [list(g) + [1.0] for g in generators]
+    matrix = [list(row) for row in zip(*columns)]
+    _, residual = nnls(matrix, list(point) + [1.0])
+    assert residual <= 1e-9, (point, residual)
+    # Optimal: no generator lies beyond the plane through p normal to t - p.
+    for g in generators:
+        assert sum((gi - pi) * (ti - pi) for gi, pi, ti in zip(g, point, target)) <= 1e-9, g
+    assert dist == pytest.approx(math.dist(target, point), abs=1e-12)
 
 
 class TestEuclideanMetric:
@@ -138,6 +156,68 @@ class TestNearestPointInHull:
         with pytest.raises(MetricError):
             nearest_point_in_hull((0.0,), [])
 
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(MetricError) as err:
+            nearest_point_in_hull((math.nan, 0.0), [(1.0, 1.0), (2.0, 0.5)])
+        assert err.value.clause == "space.coords"
+
+    def test_ragged_generators_rejected(self):
+        ragged = [(1.0, 1.0), (2.0,)]
+        for solve in (
+            lambda: nearest_point_in_hull((0.0, 0.0), ragged),
+            lambda: best_common_proposal(ragged, (0.0, 0.0)),
+        ):
+            with pytest.raises(MetricError) as err:
+                solve()
+            assert err.value.clause == "space.dimension"
+
+    @pytest.mark.parametrize(
+        "target, generators",
+        [
+            ((0.0, 0.0), [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (-1.0, 2.0)]),
+            ((0.0, 0.0), [(1.0, -1.0), (1.0, 0.0), (1.0, 2.0), (1.0, 3.0)]),
+            ((0.0, 0.0, 0.0), [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, 0.5, 1.0)]),
+            ((0.0, 0.0, 0.0), [(1.0, -1.0, 2.0), (-1.0, 1.0, 2.0), (1.0, 1.0, 2.0), (-1.0, -1.0, 2.0)]),
+            ((0.5, 0.0), [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+            ((0.25, 0.25, 0.5), [(0.0, 0.0, 0.0), (0.5, 0.5, 1.0), (3.0, -1.0, 0.0)]),
+            ((1.5, -2.0), [(1.5, -2.0), (1.5, -2.0)]),
+            ((0.0,), [(0.0,)]),
+        ],
+        ids=[
+            "collinear-2d", "collinear-facing-2d", "coplanar-3d", "coplanar-square-3d",
+            "target-on-edge-2d", "target-on-edge-3d", "generators-at-target-2d",
+            "generator-at-target-1d",
+        ],
+    )
+    def test_degenerate_inputs_end_at_the_projection(self, target, generators):
+        point, dist = nearest_point_in_hull(target, generators)
+        assert_projection(target, generators, point, dist)
+
+    def test_affinely_dependent_system_is_singular(self):
+        assert delibsim.geometry._affine_minimizer([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]) is None
+        assert delibsim.geometry._affine_minimizer([(1.0,), (-1.0,)]) == [0.5, 0.5]
+
+    def test_singular_system_keeps_a_hull_point(self, monkeypatch):
+        monkeypatch.setattr(delibsim.geometry, "_affine_minimizer", lambda rows: None)
+        generators = [(2.0, 1.0), (-1.0, 3.0), (3.0, 3.0)]
+        point, dist = nearest_point_in_hull((0.0, 0.0), generators)
+        assert point == (2.0, 1.0)
+        assert dist == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.tuples(
+                st.tuples(*[st.integers(-50_000, 50_000)] * d),
+                st.lists(st.tuples(*[st.integers(-50_000, 50_000)] * d), min_size=1, max_size=8),
+            )
+        )
+    )
+    def test_result_is_certified_projection(self, drawn):
+        target, *generators = (tuple(c / 10_000 for c in p) for p in (drawn[0], *drawn[1]))
+        point, dist = nearest_point_in_hull(target, generators)
+        assert_projection(target, generators, point, dist)
+
 
 class TestSeparatedProposal:
     def test_one_sided_agents_get_a_proposal(self):
@@ -155,6 +235,11 @@ class TestSeparatedProposal:
     def test_near_tangent_counts_as_inside(self):
         # hull distance below the approval margin must not separate
         assert separated_proposal([(-1.0, 0.0), (1.0, 5e-10)], (0.0, 0.0)) is None
+
+    def test_non_finite_status_quo_rejected(self):
+        with pytest.raises(MetricError) as err:
+            separated_proposal([(1.0, 1.0), (2.0, 0.5)], (math.inf, 0.0))
+        assert err.value.clause == "space.coords"
 
 
 class TestBestCommonProposal:
@@ -191,16 +276,26 @@ class TestBestCommonProposal:
         assert res.margin == pytest.approx(exact, abs=1e-12)
 
 
-class TestScipyImport:
-    def test_loaded_only_by_the_margin_solver(self):
+class TestLazyImports:
+    def test_numpy_and_scipy_loaded_only_by_the_margin_solver(self):
         code = (
-            "import math, sys\n"
+            "import contextlib, io, math, sys\n"
             "import delibsim, delibsim.cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
-            "space, _ = delibsim.builtin_fixture('example4')\n"
+            "from delibsim import DeliberationSpace, Policy, builtin_fixture\n"
+            "heavy = ('numpy', 'scipy')\n"
+            "assert not set(heavy) & set(sys.modules), 'loaded on import'\n"
+            "fixture, _ = builtin_fixture('example4')\n"
+            "space = DeliberationSpace(fixture.metric, fixture.agents, fixture.status_quo)\n"
+            "policy = Policy.parse('compromise', seed=1)\n"
+            "trace = delibsim.run(space, delibsim.default_initial_structure(space), policy)\n"
+            "assert trace.steps, 'continuous run made no step'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert delibsim.cli.main(['oracle', '--fixture', 'example3', '--explore']) == 0\n"
+            "assert not set(heavy) & set(sys.modules), sorted(set(heavy) & set(sys.modules))\n"
             "agents = [space.agent_location(v) for v in space.agent_ids]\n"
             "margin = delibsim.best_common_proposal(agents, space.status_quo).margin\n"
             "assert math.isfinite(margin), margin\n"
+            "assert set(heavy) <= set(sys.modules), 'margin solver ran without them'\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr

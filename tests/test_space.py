@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -298,6 +299,27 @@ class TestFeasibleWitness:
         assert report.m_star == 7
         (witness,) = report.witnesses
         assert all(space.approves(v, witness) for v in space.agent_ids)
+
+    def test_witness_clears_approval_by_the_squared_hull_distance(self):
+        # |v - r|^2 - |v - q|^2 >= h^2 for every member v, with h = |q - r|:
+        # APPROVAL_MARGIN bounds h, so the approval slack can be far smaller.
+        config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+        found = 0
+        for seed in range(1, 31):
+            space, _ = generate_scenario(config, seed)
+            quo = space.status_quo
+            for size in range(1, len(space.agent_ids) + 1):
+                for subset in itertools.combinations(space.agent_ids, size):
+                    witness = space.feasible_witness(subset)
+                    if witness is None:
+                        continue
+                    found += 1
+                    h_sq = math.dist(witness, quo) ** 2
+                    for v in subset:
+                        loc = space.agent_location(v)
+                        slack = math.dist(loc, quo) ** 2 - math.dist(loc, witness) ** 2
+                        assert slack >= h_sq - 1e-12, (seed, subset, v)
+        assert found
 
     def test_hull_decision_matches_solver(self):
         config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
