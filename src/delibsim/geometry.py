@@ -2,13 +2,17 @@
 
 Points are coordinate tuples under Euclidean metrics and string ids under
 explicit (matrix-backed) metrics.  Every function here is pure; callers own
-all state.
+all state.  The public functions validate their input; the deliberation
+space, whose locations are validated on construction, calls the unchecked
+cores ``_separated_proposal`` and ``_nearest_point_in_hull`` directly.
 
 Joint feasibility is decided exactly by hull separation: agents share a
 proposal they all strictly approve iff the status quo lies outside the convex
 hull of their locations, and ``separated_proposal`` accepts a set only when
 the hull misses the status quo by more than ``APPROVAL_MARGIN``.  The hull
-projection (``nearest_point_in_hull``) is plain Python on coordinate tuples.
+projection (``nearest_point_in_hull``) is Wolfe's method in plain Python on
+coordinate tuples; in one dimension the separation core uses a closed form
+that returns the point Wolfe returns, and Wolfe is its test reference.
 ``best_common_proposal`` (SLSQP multistart) reports the optimal worst-case
 approval margin for callers that need the margin itself; it is the only user
 of numpy and scipy, which it imports on its first call, so importing the
@@ -237,8 +241,11 @@ def nearest_point_in_hull(
     non-finite or mixed-dimension input raises ``MetricError``.
     """
     rows = _coord_rows(generators)
-    tgt = _check_coords(target, len(rows[0]))
+    return _nearest_point_in_hull(_check_coords(target, len(rows[0])), rows)
 
+
+def _nearest_point_in_hull(tgt: Coords, rows: Sequence[Coords]) -> tuple[Coords, float]:
+    """``nearest_point_in_hull`` on validated float tuples of one dimension."""
     # Exact duplicates make the minor cycle degenerate; keep first occurrences.
     q = [tuple(map(sub, row, tgt)) for row in dict.fromkeys(rows)]
     sq_norms = [sum(map(mul, qi, qi)) for qi in q]
@@ -303,9 +310,34 @@ def separated_proposal(
     strictly approves q.  ``APPROVAL_MARGIN`` bounds h, not the approval
     slack: dist(v, r)^2 - dist(v, q)^2 is only guaranteed to reach h^2, and
     dist(v, r) - dist(v, q) only h^2 / (2 dist(v, r)), far below h when the
-    hull barely misses r.
+    hull barely misses r.  Empty, non-finite or mixed-dimension input raises
+    ``MetricError``.
     """
-    point, dist_to_hull = nearest_point_in_hull(status_quo, agents)
+    rows = _coord_rows(agents)
+    return _separated_proposal(rows, _check_coords(status_quo, len(rows[0])))
+
+
+def _separated_proposal(rows: Sequence[Coords], status_quo: Coords) -> Optional[Coords]:
+    """``separated_proposal`` on validated float tuples of one dimension.
+
+    On a line the hull is an interval, so it misses r exactly when every
+    offset v - r has the same strict sign, and its nearest point is r plus
+    the offset smallest in magnitude.  That is Wolfe's first active point
+    (the first smallest (v - r)^2), which then passes the descent test at
+    once, so the closed form returns Wolfe's point and decision.  They differ
+    only where Wolfe's stopping tolerance, 1e-12 (1 + max (v - r)^2), exceeds
+    the product of the smallest offset and an opposite one: Wolfe then stops
+    at that offset, and the closed form rightly rejects the mixed-sign set.
+    """
+    if len(status_quo) == 1:
+        (quo,) = status_quo
+        offsets = [v - quo for (v,) in rows]
+        if not (min(offsets) > 0.0 or max(offsets) < 0.0):
+            return None
+        squares = [t * t for t in offsets]
+        nearest = offsets[squares.index(min(squares))]
+        return (nearest + quo,) if abs(nearest) > APPROVAL_MARGIN else None
+    point, dist_to_hull = _nearest_point_in_hull(status_quo, rows)
     if dist_to_hull > APPROVAL_MARGIN:
         return point
     return None

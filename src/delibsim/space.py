@@ -1,5 +1,10 @@
 """Deliberation spaces: agents, proposals and support queries over a metric.
 
+Locations are validated once, on construction, and each agent's distance
+to the status quo is stored then with ``distance``.  Queries work on those
+validated values: a proposal is checked by ``proposal_location`` when it
+first reaches the space, and deciding it costs one distance per agent.
+
 A space is immutable after construction, so three memos live on it:
 
 - the approval relation, per proposal (``approvers``), which every query
@@ -7,7 +12,8 @@ A space is immutable after construction, so three memos live on it:
 - per agent set, because the enumerators probe the same coalitions and
   subsets over and over: in finite spaces the candidates the set reaches
   (``reach_mask``), in continuous spaces its joint feasibility
-  (``feasible_witness``);
+  (``feasible_witness``), beside the sets whose hull reaches the status
+  quo, which settle every set one agent larger without a solve;
 - per (kind, source coalition, destination coalition), the legal moves of
   the pair (``_moves``), which ``transitions`` fills and reads: enumeration
   emits each pair's entry, and revalidation accepts a move found there and
@@ -27,10 +33,9 @@ from .geometry import (
     EuclideanMetric,
     FeasibilityResult,
     Metric,
-    approves,
+    _separated_proposal,
     best_common_proposal,
     distance,
-    separated_proposal,
 )
 
 STATUS_QUO_ID = "r"
@@ -51,6 +56,16 @@ class SpaceError(ValueError):
 
 class OracleCapError(RuntimeError):
     """The continuous support oracle was asked to search too many agents."""
+
+
+def _approving(dist, agents, loc) -> frozenset[str]:
+    """Ids of the agents strictly closer to ``loc`` than to the status quo.
+
+    ``agents`` holds (id, location, distance to the status quo) triples and
+    ``dist`` is the metric's distance on validated locations, so each pair
+    compares the same two floats as ``geometry.approves``.
+    """
+    return frozenset([vid for vid, vloc, radius in agents if dist(vloc, loc) < radius])
 
 
 @dataclass(frozen=True)
@@ -109,6 +124,10 @@ class DeliberationSpace:
         self.agents = tuple(agent_pairs)
         self._agent_loc = dict(self.agents)
         self._agent_order = {vid: i for i, (vid, _) in enumerate(self.agents)}
+        self._radii = tuple(
+            (vid, loc, distance(loc, self.status_quo, metric)) for vid, loc in self.agents
+        )
+        self._dist = math.dist if isinstance(metric, EuclideanMetric) else metric.distance_between
 
         if continuous:
             self.proposals = None
@@ -136,6 +155,8 @@ class DeliberationSpace:
 
         self._approvers: dict[ProposalRef, frozenset[str]] = {}
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
+        # agent sets whose hull reaches the status quo
+        self._hull_rejected: set[frozenset] = set()
         self._reach: dict[frozenset, int] = {}
         # (kind, src, dst) -> (target, movers) of each legal move; filled by transitions
         self._moves: dict[tuple, tuple] = {}
@@ -213,6 +234,8 @@ class DeliberationSpace:
                 f"proposal has {len(coords)} coordinates, expected {self.metric.dimension}",
                 clause="space.dimension",
             )
+        if not all(map(math.isfinite, coords)):
+            raise SpaceError("proposal has a non-finite coordinate", clause="space.coords")
         return coords
 
     def sort_agents(self, ids: Iterable[str]) -> list[str]:
@@ -225,14 +248,21 @@ class DeliberationSpace:
         return distance(self.agent_location(vid), self.proposal_location(ref), self.metric)
 
     def approvers(self, ref: ProposalRef) -> frozenset[str]:
-        """Agents that strictly approve the proposal, memoized by id or coordinates."""
+        """Agents that strictly approve the proposal, memoized by id or coordinates.
+
+        A reference met before is looked up as given; a new one is resolved
+        and validated by ``proposal_location`` first.
+        """
+        try:
+            return self._approvers[ref]
+        except (KeyError, TypeError):  # new, or coordinates in a list
+            pass
         key = ref if isinstance(ref, str) and not self.is_continuous else self.proposal_location(ref)
-        if key not in self._approvers:
-            loc = self.proposal_location(key)
-            self._approvers[key] = frozenset(
-                vid for vid, vloc in self.agents if approves(vloc, loc, self.status_quo, self.metric)
-            )
-        return self._approvers[key]
+        found = self._approvers.get(key)
+        if found is None:
+            found = _approving(self._dist, self._radii, self.proposal_location(key))
+            self._approvers[key] = found
+        return found
 
     def approves(self, vid: str, ref: ProposalRef) -> bool:
         """Strict approval of a proposal reference by a named agent."""
@@ -290,15 +320,29 @@ class DeliberationSpace:
         slack: the seven agents of ``continuous_run`` seed 103, scenario
         1156 have h = 4.1e-5, and the worst member is closer to q than to r
         by only 1.2e-10 in distance.
+
+        A set whose hull reaches r is remembered, and so is every superset
+        found by removing one agent from a remembered set: its hull contains
+        that one and reaches r too, so it is rejected without a solve.  A set
+        rejected only because a member does not strictly approve q is not
+        remembered, since that can be round-off at a near-tangent q.
         """
         key = frozenset(ids)
         if not key:
             return None
-        if key in self._feasibility:
+        try:
             return self._feasibility[key]
-        ordered = self.sort_agents(key)
-        witness = separated_proposal([self.agent_location(v) for v in ordered], self.status_quo)
-        if witness is not None and not key <= self.approvers(witness):
+        except KeyError:
+            pass
+        rejected = self._hull_rejected
+        if any(key.difference((v,)) in rejected for v in key):
+            witness = None
+        else:
+            loc = self._agent_loc
+            witness = _separated_proposal([loc[v] for v in self.sort_agents(key)], self.status_quo)
+        if witness is None:
+            rejected.add(key)
+        elif not key <= self.approvers(witness):
             witness = None
         self._feasibility[key] = witness
         return witness
@@ -331,11 +375,7 @@ class DeliberationSpace:
             raise OracleCapError(
                 f"continuous support oracle capped at {ORACLE_CAP} agents, space has {len(self.agents)}"
             )
-        eligible = [
-            vid
-            for vid, loc in self.agents
-            if distance(loc, self.status_quo, self.metric) > APPROVAL_MARGIN
-        ]
+        eligible = [vid for vid, _, radius in self._radii if radius > APPROVAL_MARGIN]
         for size in range(len(eligible), 0, -1):
             for subset in itertools.combinations(eligible, size):
                 witness = self.feasible_witness(subset)

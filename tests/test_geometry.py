@@ -242,6 +242,52 @@ class TestSeparatedProposal:
         assert err.value.clause == "space.coords"
 
 
+def wolfe_separation(agents, status_quo):
+    """Wolfe's projection decided against the margin: the 1-D reference."""
+    point, dist = nearest_point_in_hull(status_quo, agents)
+    return point if dist > APPROVAL_MARGIN else None
+
+
+class TestSeparationOnALine:
+    @pytest.mark.parametrize(
+        "quo, agents",
+        [
+            (0.0, [(1.0,), (-1.0,)]),
+            (0.5, [(1.5,), (-0.5,), (2.0,)]),
+            (0.0, [(2.0,), (-2.0,), (2.0,)]),
+            (1.25, [(3.0,), (2.0,), (2.0,), (4.5,)]),
+            (-0.3, [(-1.3,), (-2.5,), (-1.3,)]),
+            (0.5, [(0.5,), (1.5,)]),
+            (0.5, [(0.5,)]),
+            (0.0, [(1.5e-9,), (2.0,)]),
+            (0.0, [(0.5e-9,), (2.0,)]),
+            (0.0, [(APPROVAL_MARGIN,), (2.0,)]),
+            (0.0, [(-1.5e-9,), (-4.0,)]),
+            (0.0, [(1.5e-9,), (-2.0,)]),
+            (1.25, [(1.25 + 1.5e-9,), (3.0,)]),
+            (1.25, [(1.25 - 0.5e-9,), (-3.0,)]),
+        ],
+        ids=[
+            "tie-opposite", "tie-opposite-offset-quo", "duplicates-opposite", "duplicates-one-side",
+            "duplicates-negative-side", "agent-at-quo", "only-agent-at-quo", "just-above-margin",
+            "just-below-margin", "at-margin", "just-above-margin-negative", "near-margin-opposite",
+            "just-above-margin-offset-quo", "just-below-margin-offset-quo",
+        ],
+    )
+    def test_closed_form_matches_wolfe(self, quo, agents):
+        assert separated_proposal(agents, (quo,)) == wolfe_separation(agents, (quo,))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-50_000, 50_000),
+        st.lists(st.integers(-50_000, 50_000), min_size=1, max_size=8),
+    )
+    def test_closed_form_matches_wolfe_on_the_grid(self, quo, agents):
+        quo = (quo / 10_000,)
+        agents = [(v / 10_000,) for v in agents]
+        assert separated_proposal(agents, quo) == wolfe_separation(agents, quo)
+
+
 class TestBestCommonProposal:
     def test_singleton(self):
         res = best_common_proposal([(1.0,)], (0.0,))

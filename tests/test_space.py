@@ -15,17 +15,22 @@ from delibsim import (
     EuclideanMetric,
     ExplicitMetric,
     GeneratorConfig,
+    MetricError,
     OracleCapError,
     Policy,
     SpaceError,
+    Transition,
+    apply_transition,
     builtin_fixture,
+    default_initial_structure,
     enumerate_transitions,
     generate_scenario,
     run,
+    approves,
     separated_proposal,
 )
 
-from conftest import line_space
+from conftest import line_space, plane_space
 
 
 def tiny_explicit():
@@ -94,6 +99,34 @@ class TestValidation:
         assert err.value.clause == "space.unknown_id"
 
 
+class TestBoundaryValidation:
+    """Coordinates from outside the space are checked where they enter it."""
+
+    @pytest.fixture
+    def space(self):
+        fixture, _ = builtin_fixture("example4")
+        return DeliberationSpace(fixture.metric, fixture.agents, fixture.status_quo)
+
+    def test_non_finite_proposal_queries_rejected(self, space):
+        for query in (
+            lambda: space.approvers((math.inf, 0.0)),
+            lambda: space.approves("v1", (math.nan, 0.0)),
+        ):
+            with pytest.raises((SpaceError, MetricError)) as err:
+                query()
+            assert err.value.clause == "space.coords"
+        assert space.approves("v1", (-3.0, 3.0))
+
+    @pytest.mark.parametrize("kind", ["merge", "compromise", "subsume"])
+    def test_forged_non_finite_target_rejected(self, space, kind):
+        initial = default_initial_structure(space)
+        movers = tuple(initial.coalitions[i].members for i in (0, 1))
+        forged = Transition(kind, (0, 1), (math.inf, 0.0), movers)
+        with pytest.raises((SpaceError, MetricError)) as err:
+            apply_transition(initial, space, forged)
+        assert err.value.clause == "space.coords"
+
+
 class TestQueries:
     def test_approval_set_finite(self):
         space = line_space([1.0], {"a": 1.5, "b": -3.0})
@@ -139,13 +172,16 @@ class TestApprovalRelation:
     @pytest.mark.parametrize("mode", ["finite", "continuous"])
     def test_each_pair_decided_once(self, mode, monkeypatch):
         decided = Counter()
-        real = delibsim.space.approves
+        real = delibsim.space._approving
 
-        def counted(agent, proposal, status_quo, metric):
-            decided[agent, proposal] += 1
-            return real(agent, proposal, status_quo, metric)
+        def counted(dist, agents, proposal):
+            def decide(agent, loc):
+                decided[agent, loc] += 1
+                return dist(agent, loc)
 
-        monkeypatch.setattr(delibsim.space, "approves", counted)
+            return real(decide, agents, proposal)
+
+        monkeypatch.setattr(delibsim.space, "_approving", counted)
         config = GeneratorConfig(mode=mode, min_agents=5, max_agents=6, dimensions=(2,))
         space, initial = generate_scenario(config, 4)
         for kind in TRANSITION_KINDS:
@@ -335,3 +371,57 @@ class TestFeasibleWitness:
                     assert (witness is not None) == space.common_report(subset).feasible, (seed, subset)
                     if witness is not None:
                         assert all(space.approves(v, witness) for v in subset), (seed, subset)
+
+
+class TestHullRejectedSets:
+    def count_core_calls(self, monkeypatch):
+        calls = []
+        real = delibsim.space._separated_proposal
+
+        def counted(rows, status_quo):
+            calls.append(len(rows))
+            return real(rows, status_quo)
+
+        monkeypatch.setattr(delibsim.space, "_separated_proposal", counted)
+        return calls
+
+    def test_superset_of_a_hull_rejected_set_costs_no_solve(self, monkeypatch):
+        space = plane_space([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (3.0, 3.0)])
+        calls = self.count_core_calls(monkeypatch)
+        assert space.feasible_witness({"v1", "v2"}) is None
+        assert space.feasible_witness({"v1", "v2", "v3"}) is None
+        assert space.feasible_witness({"v1", "v2", "v3", "v4"}) is None
+        assert calls == [2]
+        assert space.feasible_witness({"v1", "v3", "v4"}) is not None
+        assert calls == [2, 3]
+
+    def test_approval_recheck_rejection_is_not_propagated(self, monkeypatch):
+        space = plane_space([(2.0, 0.0), (0.0, 2.0), (2.0, 2.0)])
+        # A hull point that v2 does not strictly approve, as round-off at a
+        # near-tangent projection could give.
+        monkeypatch.setattr(delibsim.space, "_separated_proposal", lambda rows, quo: (2.0, 0.0))
+        assert space.feasible_witness({"v1", "v2"}) is None
+        monkeypatch.undo()
+        calls = self.count_core_calls(monkeypatch)
+        witness = space.feasible_witness({"v1", "v2", "v3"})
+        assert calls == [3]
+        assert witness is not None
+        assert space.approvers(witness) == {"v1", "v2", "v3"}
+
+    def test_memoized_decisions_match_a_fresh_solve(self):
+        config = GeneratorConfig(mode="continuous", min_agents=2, max_agents=8, dimensions=(1, 2, 3))
+        propagated = 0
+        for seed in range(1, 31):
+            space, initial = generate_scenario(config, seed)
+            for policy in ("compromise", "subsume>compromise"):
+                run(space, initial, Policy.parse(policy, seed=seed))
+            quo = space.status_quo
+            for key, witness in space._feasibility.items():
+                locs = [space.agent_location(v) for v in space.sort_agents(key)]
+                expected = separated_proposal(locs, quo)
+                if expected is not None and not all(approves(v, expected, quo, space.metric) for v in locs):
+                    expected = None
+                assert witness == expected, (seed, sorted(key))
+            rejected = space._hull_rejected
+            propagated += sum(any(key - {v} in rejected for v in key) for key in rejected)
+        assert propagated
