@@ -6,7 +6,7 @@ reachability), ``batch`` (generated scenario sweeps to CSV), ``fixtures``
 (list or dump the builtin scenarios).
 
 Exit codes: 0 success, 1 usage error, 2 invalid scenario or structure,
-3 solver or search cap exceeded.  Set ``DELIB_LOG=DEBUG`` (or any level
+3 search cap exceeded.  Set ``DELIB_LOG=DEBUG`` (or any level
 name) to see per-step engine logging on stderr.
 """
 
@@ -29,7 +29,7 @@ from .engine import (
     run,
     summarize,
 )
-from .geometry import MetricError, SolverError
+from .geometry import MetricError
 from .oracle import DEFAULT_STATE_CAP, OracleError, explore
 from .space import DeliberationSpace, OracleCapError, SpaceError
 from .transitions import (
@@ -345,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"delibsim: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (SolverError, OracleCapError, SubsetCapError) as exc:
+    except (OracleCapError, SubsetCapError) as exc:
         print(f"delibsim: solver limit: {exc}", file=sys.stderr)
         return EXIT_CAP
 

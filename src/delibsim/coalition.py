@@ -155,9 +155,8 @@ def validate_structure(structure: CoalitionStructure, space: DeliberationSpace) 
         try:
             space.proposal_location(coalition.proposal)
         except Exception as exc:
-            violations.append(
-                Violation("structure.unknown_proposal", str(exc), index, None)
-            )
+            clause = getattr(exc, "clause", "structure.unknown_proposal")
+            violations.append(Violation(clause, str(exc), index, None))
             continue
         for vid in sorted(coalition.members):
             if vid in known and not space.approves(vid, coalition.proposal):

@@ -13,16 +13,16 @@ the hull misses the status quo by more than ``APPROVAL_MARGIN``.  The hull
 projection (``nearest_point_in_hull``) is Wolfe's method in plain Python on
 coordinate tuples; in one dimension the separation core uses a closed form
 that returns the point Wolfe returns, and Wolfe is its test reference.
-``best_common_proposal`` (SLSQP multistart) reports the optimal worst-case
-approval margin for callers that need the margin itself; it is the only user
-of numpy and scipy, which it imports on its first call, so importing the
-package and running, batching or exploring scenarios load neither.
+``best_common_proposal`` reports the optimal worst-case approval margin: it
+enumerates the support sets of a smallest enclosing ball of balls, exact up
+to rounding in O(n^(d+2)), with no failure path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -46,7 +46,7 @@ class MetricError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A geometry solver failed to converge within its iteration budget."""
+    """A solver failed to converge; nothing raises it, the benchmark tracer names it."""
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,15 @@ def _coord_rows(points: Iterable[Sequence[float]]) -> list[Coords]:
     return rows
 
 
-def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
-    """Weights w minimizing ||sum_i w_i q_i|| subject to sum_i w_i = 1, or None.
+def _solve(system: list[list[float]], size: int) -> Optional[list[list[float]]]:
+    """Solve augmented rows [A | b_1 .. b_m], A size x size, in place.
 
-    Solves the (m+1)x(m+1) KKT system [G 1; 1' 0] [w; mu] = [0; 1], with G
-    the Gram matrix of the rows, by Gaussian elimination with partial
-    pivoting (ties toward the lower row).  The system is singular exactly
-    when the rows are affinely dependent; None reports an exactly zero
-    pivot.
+    Gaussian elimination with partial pivoting (ties toward the lower row)
+    gives one solution per right-hand column; None reports a zero pivot.
     """
-    m = len(active_rows)
-    n = m + 1
-    system = [[sum(map(mul, a, b)) for b in active_rows] + [1.0, 0.0] for a in active_rows]
-    system.append([1.0] * m + [0.0, 1.0])
-    for col in range(n):
+    for col in range(size):
         pivot = col
-        for r in range(col + 1, n):
+        for r in range(col + 1, size):
             if abs(system[r][col]) > abs(system[pivot][col]):
                 pivot = r
         top = system[pivot]
@@ -217,13 +210,28 @@ def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
         for row in system[col + 1:]:
             factor = row[col] / top[col]
             if factor:
-                for k in range(col, n + 1):
+                for k in range(col, len(top)):
                     row[k] -= factor * top[k]
-    sol = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = system[i]
-        sol[i] = (row[n] - sum(map(mul, row[i + 1:n], sol[i + 1:]))) / row[i]
-    return sol[:m]
+    solutions = []
+    for rhs in range(size, len(system[0])):
+        sol = [0.0] * size
+        for i in range(size - 1, -1, -1):
+            row = system[i]
+            sol[i] = (row[rhs] - sum(map(mul, row[i + 1:size], sol[i + 1:]))) / row[i]
+        solutions.append(sol)
+    return solutions
+
+
+def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
+    """Weights w minimizing ||sum_i w_i q_i|| subject to sum_i w_i = 1, or None.
+
+    Solves the KKT system [G 1; 1' 0] [w; mu] = [0; 1], G the Gram matrix of
+    the rows; it is singular exactly when the rows are affinely dependent.
+    """
+    m = len(active_rows)
+    system = [[sum(map(mul, a, b)) for b in active_rows] + [1.0, 0.0] for a in active_rows]
+    solved = _solve(system + [[1.0] * m + [0.0, 1.0]], m + 1)
+    return None if solved is None else solved[0][:m]
 
 
 def nearest_point_in_hull(
@@ -344,7 +352,10 @@ def _separated_proposal(rows: Sequence[Coords], status_quo: Coords) -> Optional[
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call."""
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    No solver calls it; it stays because the benchmark tracer patches it.
+    """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
@@ -355,67 +366,57 @@ def best_common_proposal(
 ) -> FeasibilityResult:
     """Minimize the worst approval slack max_v (dist(v, p) - dist(v, r)).
 
-    The objective is convex (a max of norms minus constants), so the global
-    margin is what the minimizer finds.  Solved in epigraph form
-    (min s subject to dist(p, v_i) - rad_i <= s) with SLSQP from several
-    deterministic starts: the status quo, each agent and the centroid; the
-    best converged candidate wins, ties by start order.  The reported margin
-    is recomputed exactly at the witness, so it is always a true upper bound
-    on the optimum.  Raises ``SolverError`` if no start converges.
+    With rho_v = dist(v, r), c = max rho_v and t_v = c - rho_v, the slack at
+    p is at most s iff B(p, s + c) contains B(v, t_v), so the optimal margin
+    is the radius of the smallest ball enclosing these balls, minus c.  At
+    most d + 1 tangent balls fix it (Fischer & Gaertner 2004): every support
+    set of 1..d+1 agents, in declaration order, proposes its tangent centres,
+    scored by exact slack; the first smallest wins.  Exact up to rounding in
+    O(n^(d+2)); no failure path, as each agent is itself a candidate.
     """
-    import numpy as np
-
     rows = _coord_rows(agents)
-    pts = np.asarray(rows, dtype=float)
-    r = np.asarray(_check_coords(status_quo, len(rows[0])), dtype=float)
-    radii = np.linalg.norm(pts - r, axis=1)
+    quo = _check_coords(status_quo, len(rows[0]))
+    radii = [math.dist(v, quo) for v in rows]
+    top = max(radii)
+    balls = [(v, top - rho) for v, rho in zip(rows, radii)]
+    best = None
+    for size in range(1, min(len(quo) + 1, len(rows)) + 1):
+        for support in combinations(balls, size):
+            for point in _tangent_centres(support):
+                margin = max(math.dist(point, v) - rho for v, rho in zip(rows, radii))
+                if best is None or margin < best.margin:
+                    best = FeasibilityResult(point, margin)
+    return best
 
-    def max_slack(p) -> float:
-        return float((np.linalg.norm(pts - p, axis=1) - radii).max())
 
-    if pts.shape[0] == 1:
-        return FeasibilityResult(tuple(float(c) for c in pts[0]), -float(radii[0]))
+def _tangent_centres(support: Sequence[tuple[Coords, float]]) -> list[Coords]:
+    """Centres p in the affine hull of balls B(v_i, t_i) with |p - v_i| = R - t_i >= 0.
 
-    d = pts.shape[1]
-    objective_grad = np.zeros(d + 1)
-    objective_grad[-1] = 1.0
-
-    def constraint_values(z):
-        p = z[:-1]
-        return z[-1] - (np.linalg.norm(pts - p, axis=1) - radii)
-
-    def constraint_jac(z):
-        p = z[:-1]
-        diffs = p - pts
-        norms = np.linalg.norm(diffs, axis=1)
-        norms = np.where(norms < 1e-12, 1.0, norms)
-        jac = np.empty((pts.shape[0], d + 1))
-        jac[:, :d] = -diffs / norms[:, None]
-        jac[:, -1] = 1.0
-        return jac
-
-    starts = [r] + [pts[i] for i in range(pts.shape[0])] + [pts.mean(axis=0)]
-    best_point = None
-    best_value = math.inf
-    messages = []
-    for p0 in starts:
-        z0 = np.append(p0, max_slack(p0) + 1.0)
-        result = minimize(
-            lambda z: z[-1],
-            z0,
-            jac=lambda z: objective_grad,
-            method="SLSQP",
-            constraints=[{"type": "ineq", "fun": constraint_values, "jac": constraint_jac}],
-            options={"maxiter": 300, "ftol": 1e-12},
-        )
-        if not result.success:
-            messages.append(str(result.message))
-            continue
-        candidate = result.x[:-1]
-        value = max_slack(candidate)
-        if value < best_value - 0.0:
-            best_value = value
-            best_point = candidate
-    if best_point is None:
-        raise SolverError(f"joint-proposal solver failed from every start: {messages[:1]}")
-    return FeasibilityResult(tuple(float(c) for c in best_point), best_value)
+    With u_i = v_i - v_0 and p = v_0 + sum_j lam_j u_j, the differences
+    |p - v_i|^2 - |p - v_0|^2 = (R - t_i)^2 - (R - t_0)^2 read G lam = a + R b,
+    G the Gram matrix of the u_i (none on a zero pivot), and
+    |p - v_0| = R - t_0 is then a quadratic in R.
+    """
+    (v0, t0), rest = support[0], support[1:]
+    if not rest:
+        return [v0]
+    offsets = [tuple(map(sub, v, v0)) for v, _ in rest]
+    system = [
+        [sum(map(mul, u, w)) for w in offsets]
+        + [(sum(map(mul, u, u)) + t0 * t0 - t * t) / 2.0, t - t0]
+        for u, (_, t) in zip(offsets, rest)
+    ]
+    solved = _solve(system, len(offsets))
+    if solved is None:
+        return []
+    fixed, slope = (tuple(sum(map(mul, lam, col)) for col in zip(*offsets)) for lam in solved)
+    quad = sum(map(mul, slope, slope)) - 1.0
+    half = sum(map(mul, fixed, slope)) + t0
+    const = sum(map(mul, fixed, fixed)) - t0 * t0
+    if quad == 0.0:
+        roots = [-const / (2.0 * half)] if half else []
+    else:
+        disc = half * half - quad * const
+        roots = [(-half - math.sqrt(disc)) / quad, (-half + math.sqrt(disc)) / quad] if disc >= 0.0 else []
+    floor = max(t for _, t in support)
+    return [tuple(c + f + rad * g for c, f, g in zip(v0, fixed, slope)) for rad in roots if rad >= floor]

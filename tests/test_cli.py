@@ -131,6 +131,24 @@ class TestRunCommand:
         assert clause in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("proposal, clause", [
+        pytest.param('{"coords": [1e400, 0.0]}', "space.coords", id="non-finite"),
+        pytest.param('{"coords": [1.0]}', "space.dimension", id="wrong-arity"),
+        pytest.param('{"id": "a"}', "structure.unknown_proposal", id="unknown-id"),
+    ])
+    def test_bad_structure_proposal_names_clause(self, capsys, tmp_path, proposal, clause):
+        path = tmp_path / "structure.json"
+        path.write_text(
+            '{"format_version": 1, "space": {"metric": "euclidean", "dimension": 2},'
+            ' "status_quo": {"coords": [0.0, 0.0]}, "proposals": "continuous",'
+            ' "agents": [{"id": "v1", "coords": [1.0, 0.0]}],'
+            f' "initial_structure": [{{"members": ["v1"], "proposal": {proposal}}}]}}'
+        )
+        code, _, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert f"({clause})" in err
+        assert "Traceback" not in err
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(dump_scenario(*builtin_fixture("example2")))

@@ -16,10 +16,12 @@ from delibsim import (
     EuclideanMetric,
     ExplicitMetric,
     FeasibilityResult,
+    GeneratorConfig,
     MetricError,
     approves,
     best_common_proposal,
     distance,
+    generate_scenario,
     nearest_point_in_hull,
     separated_proposal,
 )
@@ -321,27 +323,135 @@ class TestBestCommonProposal:
         exact = max(distance(a, res.witness, m) - distance(a, quo, m) for a in agents)
         assert res.margin == pytest.approx(exact, abs=1e-12)
 
+    def test_empty_non_finite_and_mismatched_input_rejected(self):
+        for agents, quo, clause in [
+            ([], (0.0,), "space.coords"),
+            ([(math.nan, 0.0)], (0.0, 0.0), "space.coords"),
+            ([(1.0, 0.0)], (math.inf, 0.0), "space.coords"),
+            ([(1.0, 0.0)], (0.0,), "space.dimension"),
+        ]:
+            with pytest.raises(MetricError) as err:
+                best_common_proposal(agents, quo)
+            assert err.value.clause == clause
+
+
+def slsqp_margin(agents, quo):
+    """Reference margin: SLSQP in epigraph form from several deterministic starts.
+
+    Starts at the status quo, each agent and the centroid; the best
+    converged start wins, ties by start order, and the margin is recomputed
+    exactly at its point.  None if no start converges.
+    """
+    import numpy as np
+    from scipy.optimize import minimize
+
+    pts = np.asarray(agents, dtype=float)
+    r = np.asarray(quo, dtype=float)
+    radii = np.linalg.norm(pts - r, axis=1)
+
+    def max_slack(p):
+        return float((np.linalg.norm(pts - p, axis=1) - radii).max())
+
+    if pts.shape[0] == 1:
+        return -float(radii[0])
+    d = pts.shape[1]
+    objective_grad = np.zeros(d + 1)
+    objective_grad[-1] = 1.0
+
+    def constraint_values(z):
+        return z[-1] - (np.linalg.norm(pts - z[:-1], axis=1) - radii)
+
+    def constraint_jac(z):
+        diffs = z[:-1] - pts
+        norms = np.linalg.norm(diffs, axis=1)
+        norms = np.where(norms < 1e-12, 1.0, norms)
+        jac = np.empty((pts.shape[0], d + 1))
+        jac[:, :d] = -diffs / norms[:, None]
+        jac[:, -1] = 1.0
+        return jac
+
+    best = None
+    for p0 in [r] + list(pts) + [pts.mean(axis=0)]:
+        result = minimize(
+            lambda z: z[-1],
+            np.append(p0, max_slack(p0) + 1.0),
+            jac=lambda z: objective_grad,
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": constraint_values, "jac": constraint_jac}],
+            options={"maxiter": 300, "ftol": 1e-12},
+        )
+        if result.success:
+            value = max_slack(result.x[:-1])
+            if best is None or value < best:
+                best = value
+    return best
+
+
+class TestMarginAgainstSlsqp:
+    """The exact margin against the SLSQP multistart it replaced."""
+
+    def assert_matches_reference(self, agents, quo):
+        exact = best_common_proposal(agents, quo)
+        reference = slsqp_margin(agents, quo)
+        assert reference is not None, (agents, quo)
+        assert abs(exact.margin - reference) <= 1e-9, (agents, quo, exact.margin, reference)
+        assert exact.margin <= reference + 1e-12, (agents, quo, exact.margin, reference)
+        witness_slack = max(math.dist(v, exact.witness) - math.dist(v, quo) for v in agents)
+        assert exact.margin == witness_slack
+        return exact
+
+    def test_generated_instances(self):
+        config = GeneratorConfig(mode="continuous", min_agents=1, max_agents=8, dimensions=(1, 2, 3))
+        shapes = set()
+        for seed in range(1, 121):
+            space, _ = generate_scenario(config, seed)
+            agents = [space.agent_location(v) for v in space.agent_ids]
+            shapes.add((space.dimension, len(agents)))
+            self.assert_matches_reference(agents, space.status_quo)
+        assert {d for d, _ in shapes} == {1, 2, 3}
+        assert {n for _, n in shapes} == set(range(1, 9))
+
+    @pytest.mark.parametrize("agents, quo", [
+        pytest.param([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], (0.0, 1.0), id="collinear-2d"),
+        pytest.param([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 3.0, 0.0)],
+                     (0.0, 0.0, 1.0), id="coplanar-3d"),
+        pytest.param([(1.0, 2.0), (1.0, 2.0), (3.0, 1.0)], (0.0, 0.0), id="duplicate-agents"),
+        pytest.param([(0.0, 0.0), (2.0, 1.0), (1.0, 3.0)], (0.0, 0.0), id="agent-on-status-quo"),
+        pytest.param([(2.5, -1.0, 0.5)], (1.0, 1.0, 1.0), id="single-agent"),
+        pytest.param([(-1.0,), (2.0,), (5.0,)], (0.5,), id="line"),
+    ])
+    def test_degenerate_instances(self, agents, quo):
+        self.assert_matches_reference(agents, quo)
+
+    def test_tangent_pair(self):
+        exact = self.assert_matches_reference([(-4.0, 0.0), (4.0, 0.0)], (0.0, 0.0))
+        assert abs(exact.margin) <= 1e-12
+
 
 class TestLazyImports:
-    def test_numpy_and_scipy_loaded_only_by_the_margin_solver(self):
+    def test_runs_with_numpy_and_scipy_blocked(self, tmp_path):
         code = (
             "import contextlib, io, math, sys\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "import delibsim, delibsim.cli\n"
-            "from delibsim import DeliberationSpace, Policy, builtin_fixture\n"
-            "heavy = ('numpy', 'scipy')\n"
-            "assert not set(heavy) & set(sys.modules), 'loaded on import'\n"
+            "from delibsim import DeliberationSpace, builtin_fixture\n"
+            f"out = {str(tmp_path)!r}\n"
+            "commands = [\n"
+            "    ['run', '--fixture', 'example4', '--policy', 'compromise', '--out', out + '/t.json'],\n"
+            "    ['batch', '--gen', '{\"mode\": \"continuous\", \"max_agents\": 4}',\n"
+            "     '--policies', 'compromise', '--seeds', '1..3', '--out', out + '/rows.csv'],\n"
+            "    ['transitions', '--fixture', 'example4'],\n"
+            "    ['oracle', '--fixture', 'example3', '--explore'],\n"
+            "]\n"
+            "for argv in commands:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert delibsim.cli.main(argv) == 0, argv\n"
             "fixture, _ = builtin_fixture('example4')\n"
             "space = DeliberationSpace(fixture.metric, fixture.agents, fixture.status_quo)\n"
-            "policy = Policy.parse('compromise', seed=1)\n"
-            "trace = delibsim.run(space, delibsim.default_initial_structure(space), policy)\n"
-            "assert trace.steps, 'continuous run made no step'\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert delibsim.cli.main(['oracle', '--fixture', 'example3', '--explore']) == 0\n"
-            "assert not set(heavy) & set(sys.modules), sorted(set(heavy) & set(sys.modules))\n"
             "agents = [space.agent_location(v) for v in space.agent_ids]\n"
             "margin = delibsim.best_common_proposal(agents, space.status_quo).margin\n"
             "assert math.isfinite(margin), margin\n"
-            "assert set(heavy) <= set(sys.modules), 'margin solver ran without them'\n"
+            "assert space.common_report(space.agent_ids).margin == margin\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
