@@ -6,15 +6,13 @@ reachability), ``batch`` (generated scenario sweeps to CSV), ``fixtures``
 (list or dump the builtin scenarios).
 
 Exit codes: 0 success, 1 usage error, 2 invalid scenario or structure,
-3 search cap exceeded.  Set ``DELIB_LOG=DEBUG`` (or any level
-name) to see per-step engine logging on stderr.
+3 search cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -22,6 +20,7 @@ from typing import Optional, Sequence
 
 from .coalition import CoalitionStructure, potential, signature
 from .engine import (
+    SELECTORS,
     GeneratorConfig,
     Policy,
     PolicyError,
@@ -113,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(TRANSITION_KINDS),
         help="tiers joined by '>', kinds within a tier by ','",
     )
-    p_run.add_argument("--selector", choices=("uniform_random", "first_enumerated"),
-                       default="uniform_random")
+    p_run.add_argument("--selector", choices=SELECTORS, default="uniform_random")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--step-cap", type=int, default=None)
     p_run.add_argument("--out", help="write the full trace JSON here")
@@ -141,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--seeds", type=_seed_range, default=tuple(range(20)),
                          help="'A..B' inclusive, or comma-separated integers")
-    p_batch.add_argument("--selector", choices=("uniform_random", "first_enumerated"),
-                         default="uniform_random")
+    p_batch.add_argument("--selector", choices=SELECTORS, default="uniform_random")
     p_batch.add_argument("--step-cap", type=int, default=None)
     p_batch.add_argument("--out", help="write the per-run CSV summary here")
 
@@ -322,13 +319,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level_name = os.environ.get("DELIB_LOG")
-    if level_name:
-        logging.basicConfig(
-            level=getattr(logging, level_name.upper(), logging.WARNING),
-            stream=sys.stderr,
-            format="%(name)s: %(message)s",
-        )
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -1,90 +1,73 @@
 """Deliberative coalitions, coalition structures and their order measures.
 
 A coalition pairs a member set with a proposal every member strictly
-approves; a structure partitions the agents into coalitions.  The two
-measures used for termination arguments live here: the potential (sum of
-squared coalition sizes) and the signature (non-increasing size profile
-compared lexicographically).
+approves; a structure partitions the agents into coalitions.  Both are
+tuples, so they hash and compare as tuples do: a coalition is the triple
+``(members, proposal, size)`` and a structure is the tuple of its
+coalitions.  The two measures used for termination arguments live here:
+the potential (sum of squared coalition sizes) and the signature
+(non-increasing size profile compared lexicographically).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .space import STATUS_QUO_ID, DeliberationSpace, ProposalRef
 
 Signature = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeliberativeCoalition:
+class DeliberativeCoalition(namedtuple("DeliberativeCoalition", ("members", "proposal", "size"))):
     """A set of agent ids behind one proposal reference.
 
-    The status quo coalition uses the reserved proposal id ``"r"``; its
-    members approve nothing.  An empty member set is permitted transiently
-    (it can appear mid-update) but every applied transition drops empties.
+    Members normalise to a frozenset and coordinate proposals to a tuple of
+    floats; ``size`` is the member count, stored because the measures read
+    it far more often than coalitions are built.  The status quo coalition
+    uses the reserved proposal id ``"r"``; its members approve nothing.  An
+    empty member set is permitted transiently (it can appear mid-update)
+    but every applied transition drops empties.
     """
 
-    members: frozenset[str]
-    proposal: ProposalRef
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        prop = self.proposal
-        if not isinstance(prop, str):
-            object.__setattr__(self, "proposal", tuple(float(c) for c in prop))
-        # Coalitions key the space's move memo, so the hash and the size are
-        # read far more often than coalitions are built.
-        object.__setattr__(self, "size", len(self.members))
-        object.__setattr__(self, "_hash", hash((self.members, self.proposal)))
+    def __new__(cls, members: Iterable[str], proposal: ProposalRef) -> "DeliberativeCoalition":
+        members = frozenset(members)
+        if not isinstance(proposal, str):
+            proposal = tuple(map(float, proposal))
+        return tuple.__new__(cls, (members, proposal, len(members)))
 
-    @classmethod
-    def _trusted(cls, members: frozenset[str], proposal: ProposalRef) -> "DeliberativeCoalition":
-        """A coalition from a frozenset and a normalised proposal, unchecked."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "__dict__", {
-            "members": members, "proposal": proposal,
-            "size": len(members), "_hash": hash((members, proposal)),
-        })
-        return c
+    def __getnewargs__(self) -> tuple[frozenset[str], ProposalRef]:
+        return self[:2]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return f"DeliberativeCoalition(members={self.members!r}, proposal={self.proposal!r})"
 
     @property
     def supports_status_quo(self) -> bool:
         return self.proposal == STATUS_QUO_ID
 
 
-@dataclass(frozen=True)
-class CoalitionStructure:
-    """Ordered collection of coalitions; order only matters for determinism."""
+class CoalitionStructure(tuple):
+    """Ordered tuple of coalitions; order only matters for determinism."""
 
-    coalitions: tuple[DeliberativeCoalition, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalitions", tuple(self.coalitions))
+    def __new__(cls, coalitions: Iterable[DeliberativeCoalition]) -> "CoalitionStructure":
+        return tuple.__new__(cls, coalitions)
 
-    @classmethod
-    def _trusted(cls, coalitions: tuple[DeliberativeCoalition, ...]) -> "CoalitionStructure":
-        """A structure from a tuple of coalitions, unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "__dict__", {"coalitions": coalitions})
-        return s
+    @property
+    def coalitions(self) -> "CoalitionStructure":
+        return self
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Iterable[str], ProposalRef]]) -> "CoalitionStructure":
-        return cls(tuple(DeliberativeCoalition(frozenset(m), p) for m, p in pairs))
+        return cls(DeliberativeCoalition(m, p) for m, p in pairs)
 
-    def __iter__(self) -> Iterator[DeliberativeCoalition]:
-        return iter(self.coalitions)
-
-    def __len__(self) -> int:
-        return len(self.coalitions)
-
-    def __getitem__(self, index: int) -> DeliberativeCoalition:
-        return self.coalitions[index]
+    def __repr__(self) -> str:
+        return f"CoalitionStructure(coalitions={tuple.__repr__(self)})"
 
 
 @dataclass(frozen=True)
@@ -198,10 +181,7 @@ def lex_less(a: Signature, b: Signature) -> bool:
     Either the profiles agree up to some position where ``a`` is smaller,
     or ``a`` is a proper prefix of ``b``.
     """
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return len(a) < len(b)
+    return a < b
 
 
 def is_successful(structure: CoalitionStructure, space: DeliberationSpace) -> bool:
@@ -237,7 +217,7 @@ def canonicalize(structure: CoalitionStructure) -> CoalitionStructure:
     """
     nonempty = [c for c in structure if c.size > 0]
     nonempty.sort(key=lambda c: (-c.size, min(c.members)))
-    return CoalitionStructure(tuple(nonempty))
+    return CoalitionStructure(nonempty)
 
 
 def canonical_key(structure: CoalitionStructure) -> str:

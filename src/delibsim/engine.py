@@ -10,7 +10,6 @@ exists or the step cap trips, and the two outcomes are reported distinctly.
 
 from __future__ import annotations
 
-import logging
 import math
 import string
 from dataclasses import dataclass, fields, replace
@@ -35,8 +34,6 @@ from .transitions import (
     apply_transition,
     enumerate_transitions,
 )
-
-logger = logging.getLogger(__name__)
 
 SELECTORS = ("uniform_random", "first_enumerated")
 
@@ -202,23 +199,25 @@ def default_initial_structure(space: DeliberationSpace) -> CoalitionStructure:
             at_quo.append(vid)
     if at_quo:
         coalitions.append(DeliberativeCoalition(frozenset(at_quo), STATUS_QUO_ID))
-    return CoalitionStructure(tuple(coalitions))
+    return CoalitionStructure(coalitions)
 
 
 def _check_step_invariants(
-    t: Transition, before: CoalitionStructure, after: CoalitionStructure
+    t: Transition, before: tuple[int, Signature], after: tuple[int, Signature]
 ) -> None:
+    """Check a step's guarantee on the (potential, signature) around it."""
+    (potential_before, signature_before), (potential_after, signature_after) = before, after
     if t.kind in POTENTIAL_KINDS:
-        gain = potential(after) - potential(before)
+        gain = potential_after - potential_before
         if gain < 2:
             raise EngineInvariantError(
                 f"{t.kind} step raised the potential by {gain}, expected at least 2"
             )
     if t.kind in SIGNATURE_KINDS:
-        if not lex_less(signature(before), signature(after)):
+        if not lex_less(signature_before, signature_after):
             raise EngineInvariantError(
                 f"{t.kind} step did not lex-increase the signature: "
-                f"{signature(before)} -> {signature(after)}"
+                f"{signature_before} -> {signature_after}"
             )
 
 
@@ -241,6 +240,7 @@ def run(
         raise PolicyError("step cap must be non-negative")
     rng = SplitMix64(policy.seed)
     current = initial
+    measured = (potential(current), signature(current))
     steps: list[TraceStep] = []
     classification: str
 
@@ -266,13 +266,10 @@ def run(
         else:
             chosen = candidates[rng.randbelow(len(candidates))]
         after = apply_transition(current, space, chosen)
-        _check_step_invariants(chosen, current, after)
-        steps.append(TraceStep(len(steps), chosen, potential(after), signature(after)))
-        logger.debug(
-            "step %d: %s sources=%s potential=%d", len(steps) - 1, chosen.kind,
-            chosen.sources, steps[-1].potential,
-        )
-        current = after
+        after_measured = (potential(after), signature(after))
+        _check_step_invariants(chosen, measured, after_measured)
+        steps.append(TraceStep(len(steps), chosen, *after_measured))
+        current, measured = after, after_measured
 
     return RunTrace(
         scenario=scenario_ref,

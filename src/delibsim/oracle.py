@@ -247,7 +247,7 @@ def explore(
             raise OracleError(f"transition kind {kind!r} appears twice")
 
     start = canonicalize(initial)
-    start_id: _StateId = frozenset(start.coalitions)
+    start_id: _StateId = frozenset(start)
     # Keyed by state id, in the order the search reached the states.
     structures: dict[_StateId, CoalitionStructure] = {start_id: start}
     measures: dict[_StateId, tuple[int, Signature]] = {start_id: (potential(start), signature(start))}
@@ -279,7 +279,7 @@ def explore(
             successor = apply_transition(state, space, move)
             edges += 1
             # apply_transition drops empty coalitions, so this is the state id.
-            successor_id = frozenset(successor.coalitions)
+            successor_id = frozenset(successor)
             measured = measures.get(successor_id)
             if measured is None:
                 measured = (potential(successor), signature(successor))

@@ -257,11 +257,11 @@ class DeliberationSpace:
             return self._approvers[ref]
         except (KeyError, TypeError):  # new, or coordinates in a list
             pass
-        key = ref if isinstance(ref, str) and not self.is_continuous else self.proposal_location(ref)
+        location = self.proposal_location(ref)
+        key = ref if isinstance(ref, str) and not self.is_continuous else location
         found = self._approvers.get(key)
         if found is None:
-            found = _approving(self._dist, self._radii, self.proposal_location(key))
-            self._approvers[key] = found
+            found = self._approvers[key] = _approving(self._dist, self._radii, location)
         return found
 
     def approves(self, vid: str, ref: ProposalRef) -> bool:

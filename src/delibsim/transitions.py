@@ -265,10 +265,10 @@ def enumerate_transitions(
         if kind in ("merge", "compromise")
         else itertools.permutations(active, 2)
     )
-    coalitions, memo, trusted = structure.coalitions, space._moves, Transition._trusted
+    memo, trusted = space._moves, Transition._trusted
     for sources in pairs:
         i, j = sources
-        src, dst = coalitions[i], coalitions[j]
+        src, dst = structure[i], structure[j]
         key = (kind, src, dst)
         moves = memo.get(key)
         if moves is None:
@@ -289,10 +289,9 @@ def _revalidate(
     if len(t.sources) != 2 or len(t.movers) != 2:
         raise _stale(t, "expected exactly two sources")
     i, j = t.sources
-    coalitions = structure.coalitions
-    if not (0 <= i < len(coalitions) and 0 <= j < len(coalitions)) or i == j:
+    if not (0 <= i < len(structure) and 0 <= j < len(structure)) or i == j:
         raise _stale(t, "source indices out of range")
-    src, dst = coalitions[i], coalitions[j]
+    src, dst = structure[i], structure[j]
     if src.supports_status_quo or dst.supports_status_quo:
         raise _stale(t, "status quo coalitions never participate")
     if src.size == 0 or dst.size == 0:
@@ -312,15 +311,13 @@ def apply_transition(
     Untouched coalitions keep their order.  Single_agent and follow move
     their movers from the source into the destination in place, merges land
     at the first source index, compromises and subsumes append the new
-    coalition at the end and keep leftovers in place.  The operands are
-    frozensets and normalised proposals already, so the result's coalitions
-    and structure are built without the constructors' re-normalisation.
+    coalition at the end and keep leftovers in place.
     """
     src, dst = _revalidate(structure, space, t)
     i, j = t.sources
     movers_i, movers_j = t.movers
-    coalition = DeliberativeCoalition._trusted
-    new_list: list[Optional[DeliberativeCoalition]] = list(structure.coalitions)
+    coalition = DeliberativeCoalition
+    new_list: list[Optional[DeliberativeCoalition]] = list(structure)
 
     if t.kind in ("single_agent", "follow"):
         new_list[i] = coalition(src.members - movers_i, src.proposal)
@@ -333,6 +330,4 @@ def apply_transition(
         new_list[j] = coalition(dst.members - movers_j, dst.proposal)
         new_list.append(coalition(movers_i | movers_j, t.target_proposal))
 
-    return CoalitionStructure._trusted(
-        tuple([c for c in new_list if c is not None and c.size > 0])
-    )
+    return CoalitionStructure([c for c in new_list if c is not None and c.size > 0])

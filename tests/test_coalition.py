@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from delibsim import (
+    TRANSITION_KINDS,
     CoalitionStructure,
     DeliberativeCoalition,
+    apply_transition,
     builtin_fixture,
     canonical_key,
     canonicalize,
+    enumerate_transitions,
     is_successful,
     lex_less,
     potential,
@@ -176,3 +186,47 @@ class TestCanonicalForm:
         ref = structure((("v1", "v2", "v3"), "a"), (("v4", "v5"), "b"))
         same = set(perm[:3]) == {"v1", "v2", "v3"}
         assert (canonical_key(base) == canonical_key(ref)) == same
+
+
+class TestPickleAndHash:
+    @pytest.mark.parametrize("name", ["example3", "example4"])
+    def test_applied_structure_survives_pickle_and_copy(self, name):
+        space, init = builtin_fixture(name)
+        move = next(
+            t for kind in TRANSITION_KINDS for t in enumerate_transitions(init, space, kind)
+        )
+        after = apply_transition(init, space, move)
+        public = CoalitionStructure.from_pairs((c.members, c.proposal) for c in after)
+        shallow = copy.copy(after)
+        assert repr(public) == repr(shallow) == repr(after)
+        # A rebuilt frozenset may list its members in another order, so the
+        # reprs of pickled and deep copies are compared by evaluating them.
+        names = {"CoalitionStructure": CoalitionStructure, "DeliberativeCoalition": DeliberativeCoalition}
+        for other in (public, shallow, pickle.loads(pickle.dumps(after)), copy.deepcopy(after)):
+            assert type(other) is CoalitionStructure
+            assert all(type(c) is DeliberativeCoalition for c in other)
+            assert other == after
+            assert hash(other) == hash(after)
+            assert eval(repr(other), names) == after
+
+    def test_pickled_coalition_found_under_another_hash_seed(self):
+        build = (
+            "from delibsim import CoalitionStructure, DeliberativeCoalition\n"
+            "coalition = DeliberativeCoalition(frozenset({'v1', 'v2', 'v3'}), [1, 2])\n"
+            "structure = CoalitionStructure([coalition])\n"
+        )
+        dump = build + "import pickle, sys\nsys.stdout.write(pickle.dumps((coalition, structure)).hex())\n"
+        load = build + (
+            "import pickle, sys\n"
+            "old, old_structure = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "print(old in {coalition}, old_structure in {structure})\n"
+        )
+        pickled = subprocess.run(
+            [sys.executable, "-c", dump], env={**os.environ, "PYTHONHASHSEED": "1"},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = subprocess.run(
+            [sys.executable, "-c", load], env={**os.environ, "PYTHONHASHSEED": "2"},
+            input=pickled, capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded.split() == ["True", "True"]
