@@ -35,6 +35,7 @@ from .transitions import (
     TRANSITION_KINDS,
     SubsetCapError,
     Transition,
+    check_kinds,
     enumerate_transitions,
 )
 from .scenario_io import (
@@ -67,11 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _kind_list(text: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
-    for index, kind in enumerate(kinds):
-        if kind not in TRANSITION_KINDS:
-            raise argparse.ArgumentTypeError(f"unknown transition kind {kind!r}")
-        if kind in kinds[:index]:
-            raise argparse.ArgumentTypeError(f"transition kind {kind!r} appears twice")
+    check_kinds(kinds, argparse.ArgumentTypeError)
     if not kinds:
         raise argparse.ArgumentTypeError("empty kind list")
     return kinds

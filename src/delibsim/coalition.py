@@ -58,10 +58,6 @@ class CoalitionStructure(tuple):
     def __new__(cls, coalitions: Iterable[DeliberativeCoalition]) -> "CoalitionStructure":
         return tuple.__new__(cls, coalitions)
 
-    @property
-    def coalitions(self) -> "CoalitionStructure":
-        return self
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Iterable[str], ProposalRef]]) -> "CoalitionStructure":
         return cls(DeliberativeCoalition(m, p) for m, p in pairs)

@@ -29,9 +29,9 @@ from .space import STATUS_QUO_ID, DeliberationSpace
 from .transitions import (
     POTENTIAL_KINDS,
     SIGNATURE_KINDS,
-    TRANSITION_KINDS,
     Transition,
     apply_transition,
+    check_kinds,
     enumerate_transitions,
 )
 
@@ -115,14 +115,7 @@ class Policy:
         tiers = tuple(tuple(kinds) for kinds in self.tiers)
         if not tiers or any(not tier for tier in tiers):
             raise PolicyError("policy needs at least one non-empty tier")
-        seen = set()
-        for tier in tiers:
-            for kind in tier:
-                if kind not in TRANSITION_KINDS:
-                    raise PolicyError(f"unknown transition kind {kind!r}")
-                if kind in seen:
-                    raise PolicyError(f"transition kind {kind!r} appears twice")
-                seen.add(kind)
+        check_kinds([kind for tier in tiers for kind in tier], PolicyError)
         if self.selector not in SELECTORS:
             raise PolicyError(f"unknown selector {self.selector!r}")
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed > _MASK64:
@@ -359,7 +352,7 @@ def generate_scenario(
     """Deterministically sample a scenario for (config, seed)."""
     rng = SplitMix64(seed)
     n = rng.randint(config.min_agents, config.max_agents)
-    dim = config.dimensions[rng.randbelow(len(config.dimensions))]
+    dim = rng.choice(config.dimensions)
     half = float(config.coordinate_range)
 
     def draw_point() -> tuple[float, ...]:

@@ -28,9 +28,9 @@ from .space import DeliberationSpace, ProposalRef, SupportReport
 from .transitions import (
     POTENTIAL_KINDS,
     SIGNATURE_KINDS,
-    TRANSITION_KINDS,
     Transition,
     apply_transition,
+    check_kinds,
     enumerate_transitions,
 )
 
@@ -85,8 +85,7 @@ def naive_transitions(
     """
     if space.is_continuous:
         raise OracleError("naive enumeration needs a finite proposal list")
-    if kind not in TRANSITION_KINDS:
-        raise OracleError(f"unknown transition kind {kind!r}")
+    check_kinds((kind,), OracleError)
     out: list[Transition] = []
     indices = range(len(structure))
 
@@ -240,11 +239,7 @@ def explore(
         raise OracleError("exploration needs a finite proposal list")
     if state_cap < 1:
         raise OracleError(f"state cap must be at least 1, got {state_cap}")
-    for index, kind in enumerate(kinds):
-        if kind not in TRANSITION_KINDS:
-            raise OracleError(f"unknown transition kind {kind!r}")
-        if kind in kinds[:index]:
-            raise OracleError(f"transition kind {kind!r} appears twice")
+    check_kinds(kinds, OracleError)
 
     start = canonicalize(initial)
     start_id: _StateId = frozenset(start)

@@ -15,10 +15,10 @@ import math
 from typing import Optional, Sequence
 
 from .coalition import CoalitionStructure, validate_structure
-from .engine import BatchRow, Policy, RunTrace, TraceStep, default_initial_structure
+from .engine import BatchRow, Policy, PolicyError, RunTrace, TraceStep, default_initial_structure
 from .geometry import EuclideanMetric, ExplicitMetric, MetricError
 from .space import DeliberationSpace, SpaceError
-from .transitions import Transition
+from .transitions import Transition, check_kinds
 
 FORMAT_VERSION = 1
 
@@ -283,8 +283,27 @@ def write_trace(trace: RunTrace) -> str:
     return _dumps(payload)
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ScenarioFormatError(f"trace {what} must be an integer, got {value!r}", clause="format")
+    return value
+
+
+def _agent_set(value, what: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioFormatError(
+            f"trace {what} must be a list of agent ids, got {value!r}", clause="format"
+        )
+    return frozenset(value)
+
+
 def read_trace(text: str) -> RunTrace:
-    """Parse a trace written by ``write_trace``."""
+    """Parse a trace written by ``write_trace``.
+
+    Every count, index and seed must be a JSON integer, every mover set a
+    list of agent ids and the policy and step kinds valid; anything else is a
+    ``ScenarioFormatError``, never coerced.
+    """
     data = _loads(text, "trace")
     _check_version(data, "trace")
     try:
@@ -292,28 +311,29 @@ def read_trace(text: str) -> RunTrace:
         policy = Policy(
             tuple(tuple(tier) for tier in policy_block["tiers"]),
             selector=policy_block["selector"],
-            seed=int(policy_block["seed"]),
+            seed=_int(policy_block["seed"], "policy seed"),
         )
         steps = []
         for entry in data["steps"]:
+            check_kinds((entry["kind"],), ScenarioFormatError)
             transition = Transition(
                 entry["kind"],
-                tuple(entry["sources"]),
+                tuple(_int(i, "step source") for i in entry["sources"]),
                 _decode_ref(entry["proposal"], "trace step"),
-                tuple(frozenset(m) for m in entry["movers"]),
+                tuple(_agent_set(m, "step movers") for m in entry["movers"]),
             )
             steps.append(
                 TraceStep(
-                    index=int(entry["index"]),
+                    index=_int(entry["index"], "step index"),
                     transition=transition,
-                    potential=int(entry["potential"]),
-                    signature=tuple(int(s) for s in entry["signature"]),
+                    potential=_int(entry["potential"], "step potential"),
+                    signature=tuple(_int(s, "step signature") for s in entry["signature"]),
                 )
             )
         return RunTrace(
             scenario=data["scenario"],
             policy=policy,
-            step_cap=int(data["step_cap"]),
+            step_cap=_int(data["step_cap"], "step_cap"),
             initial=_decode_structure(data["initial_structure"], "trace"),
             steps=tuple(steps),
             terminal=_decode_structure(data["terminal_structure"], "trace"),
@@ -321,6 +341,8 @@ def read_trace(text: str) -> RunTrace:
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioFormatError(f"trace is missing fields: {exc}", clause="format") from None
+    except PolicyError as exc:
+        raise ScenarioFormatError(f"trace policy: {exc}", clause="format") from None
 
 
 # -- summaries --------------------------------------------------------------------

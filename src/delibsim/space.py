@@ -33,6 +33,8 @@ from .geometry import (
     EuclideanMetric,
     FeasibilityResult,
     Metric,
+    MetricError,
+    _check_coords,
     _separated_proposal,
     best_common_proposal,
     distance,
@@ -107,21 +109,9 @@ class DeliberationSpace:
 
         self.status_quo = self._check_location(status_quo, "status quo")
 
-        agent_pairs = []
-        seen_agents = set()
-        for entry in agents:
-            vid, loc = entry
-            if not isinstance(vid, str) or not vid:
-                raise SpaceError(f"agent id must be a non-empty string, got {vid!r}", clause="space.agent_ids")
-            if vid == STATUS_QUO_ID:
-                raise SpaceError(f"agent id {STATUS_QUO_ID!r} is reserved", clause="space.agent_ids")
-            if vid in seen_agents:
-                raise SpaceError(f"duplicate agent id {vid!r}", clause="space.agent_ids")
-            seen_agents.add(vid)
-            agent_pairs.append((vid, self._check_location(loc, f"agent {vid!r}")))
-        if not agent_pairs:
+        self.agents = self._check_located(agents, "agent", "space.agent_ids")
+        if not self.agents:
             raise SpaceError("need at least one agent", clause="space.agent_ids")
-        self.agents = tuple(agent_pairs)
         self._agent_loc = dict(self.agents)
         self._agent_order = {vid: i for i, (vid, _) in enumerate(self.agents)}
         self._radii = tuple(
@@ -132,24 +122,7 @@ class DeliberationSpace:
         if continuous:
             self.proposals = None
         else:
-            candidate_pairs = []
-            seen_props = set()
-            for entry in proposals:
-                pid, loc = entry
-                if not isinstance(pid, str) or not pid:
-                    raise SpaceError(
-                        f"proposal id must be a non-empty string, got {pid!r}", clause="space.proposal_ids"
-                    )
-                if pid == STATUS_QUO_ID:
-                    raise SpaceError(
-                        f"proposal id {STATUS_QUO_ID!r} is reserved for the status quo",
-                        clause="space.proposal_ids",
-                    )
-                if pid in seen_props:
-                    raise SpaceError(f"duplicate proposal id {pid!r}", clause="space.proposal_ids")
-                seen_props.add(pid)
-                candidate_pairs.append((pid, self._check_location(loc, f"proposal {pid!r}")))
-            self.proposals = tuple(candidate_pairs)
+            self.proposals = self._check_located(proposals, "proposal", "space.proposal_ids")
             self._proposal_loc = dict(self.proposals)
             self._candidate_ids = tuple(self._proposal_loc)
 
@@ -164,19 +137,31 @@ class DeliberationSpace:
 
     # -- construction helpers -------------------------------------------------
 
+    def _check_located(self, entries: Iterable, what: str, clause: str) -> tuple:
+        """Validated (id, location) pairs; ids are distinct non-empty strings other than "r"."""
+        pairs: dict = {}
+        for ident, loc in entries:
+            if not isinstance(ident, str) or not ident:
+                raise SpaceError(f"{what} id must be a non-empty string, got {ident!r}", clause=clause)
+            if ident == STATUS_QUO_ID:
+                raise SpaceError(f"{what} id {ident!r} is reserved for the status quo", clause=clause)
+            if ident in pairs:
+                raise SpaceError(f"duplicate {what} id {ident!r}", clause=clause)
+            pairs[ident] = self._check_location(loc, f"{what} {ident!r}")
+        return tuple(pairs.items())
+
+    def _coords(self, coords, what: str) -> Coords:
+        """``geometry._check_coords`` for this space, failing with a ``SpaceError``."""
+        try:
+            return _check_coords(coords, self.metric.dimension)
+        except MetricError as exc:
+            raise SpaceError(f"{what}: {exc}", clause=exc.clause) from None
+
     def _check_location(self, loc, what: str):
         if isinstance(self.metric, EuclideanMetric):
             if isinstance(loc, str):
                 raise SpaceError(f"{what}: euclidean spaces use coordinates, not ids", clause="space.coords")
-            coords = tuple(float(c) for c in loc)
-            if len(coords) != self.metric.dimension:
-                raise SpaceError(
-                    f"{what}: expected {self.metric.dimension} coordinates, got {len(coords)}",
-                    clause="space.dimension",
-                )
-            if not all(math.isfinite(c) for c in coords):
-                raise SpaceError(f"{what}: non-finite coordinate", clause="space.coords")
-            return coords
+            return self._coords(loc, what)
         if not isinstance(loc, str):
             raise SpaceError(f"{what}: explicit metrics use point ids, not coordinates", clause="space.coords")
         if loc not in self.metric._index:
@@ -228,15 +213,7 @@ class DeliberationSpace:
             raise SpaceError(
                 "finite spaces reference proposals by id", clause="structure.unknown_proposal"
             )
-        coords = tuple(float(c) for c in ref)
-        if len(coords) != self.metric.dimension:
-            raise SpaceError(
-                f"proposal has {len(coords)} coordinates, expected {self.metric.dimension}",
-                clause="space.dimension",
-            )
-        if not all(map(math.isfinite, coords)):
-            raise SpaceError("proposal has a non-finite coordinate", clause="space.coords")
-        return coords
+        return self._coords(ref, "proposal")
 
     def sort_agents(self, ids: Iterable[str]) -> list[str]:
         """Agents sorted by their declaration order in this space."""

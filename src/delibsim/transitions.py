@@ -17,23 +17,25 @@ two coalitions it touches, so enumeration memoizes them on the space: the
 (target, movers) of every legal move, which ``_pair_moves`` derives the
 first time the pair is met, with the continuous first-witness dedupe
 applied while the entry is filled.  Empty results are stored too; a
-``SubsetCapError`` raised mid-fill stores nothing.  Enumeration emits each
-pair's entry through a trusted path that skips the ``Transition``
-constructor's re-normalisation.
+``SubsetCapError`` raised mid-fill stores nothing.
 
-``apply_transition`` revalidates its input against the current structure,
-so a stale transition (enumerated from a different structure) fails loudly
-instead of corrupting the run.  A move found in its pair's memo entry is
-legal, because the entry came from ``_legal_movers`` on equal coalitions;
-any other move (forged, built by hand, or a continuous witness other than
-the first) is judged by ``_legal_movers`` itself.
+A ``Transition`` is a plain named tuple and its constructor normalises
+nothing.  A move can come from outside the package in two ways, and each
+is checked where it enters: ``scenario_io.read_trace`` rejects a malformed
+trace step, and ``apply_transition`` revalidates every move against the
+current structure, so an unknown kind or a source index that is not an
+``int`` raises ``TransitionError``, and a stale transition (enumerated from
+a different structure) raises ``StaleTransitionError`` instead of
+corrupting the run.  A move found in its pair's memo entry is legal,
+because the entry came from ``_legal_movers`` on equal coalitions; any
+other move (forged, built by hand, or a continuous witness other than the
+first) is judged by ``_legal_movers`` itself.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coalition import CoalitionStructure, DeliberativeCoalition
 from .space import DeliberationSpace, ProposalRef
@@ -60,14 +62,22 @@ class SubsetCapError(RuntimeError):
     """A continuous compromise search exceeded the subset search cap."""
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One enumerated move between coalition structures.
+def check_kinds(kinds: Sequence[str], error: type[Exception] = TransitionError) -> None:
+    """Raise ``error`` unless every entry of ``kinds`` is a transition kind, listed once."""
+    for index, kind in enumerate(kinds):
+        if kind not in TRANSITION_KINDS:
+            raise error(f"unknown transition kind {kind!r}")
+        if kind in kinds[:index]:
+            raise error(f"transition kind {kind!r} appears twice")
+
+
+class Transition(NamedTuple):
+    """One move between coalition structures.
 
     ``sources`` are indices into the originating structure.  ``movers``
     aligns with ``sources``: the agents leaving each source coalition.  For
     single_agent and follow the second mover set is empty (the destination
-    coalition only absorbs).
+    coalition only absorbs).  The fields are stored as given.
     """
 
     kind: str
@@ -75,33 +85,9 @@ class Transition:
     target_proposal: ProposalRef
     movers: tuple[frozenset[str], ...]
 
-    def __post_init__(self):
-        if self.kind not in TRANSITION_KINDS:
-            raise TransitionError(f"unknown transition kind {self.kind!r}")
-        object.__setattr__(self, "sources", tuple(int(i) for i in self.sources))
-        object.__setattr__(self, "movers", tuple(frozenset(m) for m in self.movers))
-        prop = self.target_proposal
-        if not isinstance(prop, str):
-            object.__setattr__(self, "target_proposal", tuple(float(c) for c in prop))
-
-    @classmethod
-    def _trusted(
-        cls, kind: str, sources: tuple[int, int], target: ProposalRef,
-        movers: tuple[frozenset[str], frozenset[str]],
-    ) -> "Transition":
-        """A transition from values that are already normalised, unchecked."""
-        t = object.__new__(cls)
-        object.__setattr__(
-            t, "__dict__", {"kind": kind, "sources": sources, "target_proposal": target, "movers": movers}
-        )
-        return t
-
     @property
     def moving_agents(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for m in self.movers:
-            out |= m
-        return out
+        return frozenset().union(*self.movers)
 
 
 def _active_indices(structure: CoalitionStructure) -> list[int]:
@@ -256,8 +242,7 @@ def enumerate_transitions(
     ordered ones.  Each pair's moves are read from the space's memo, and
     derived by ``_pair_moves`` the first time the pair is met.
     """
-    if kind not in TRANSITION_KINDS:
-        raise TransitionError(f"unknown transition kind {kind!r}")
+    check_kinds((kind,))
     out: list[Transition] = []
     active = _active_indices(structure)
     pairs = (
@@ -265,7 +250,7 @@ def enumerate_transitions(
         if kind in ("merge", "compromise")
         else itertools.permutations(active, 2)
     )
-    memo, trusted = space._moves, Transition._trusted
+    memo = space._moves
     for sources in pairs:
         i, j = sources
         src, dst = structure[i], structure[j]
@@ -274,7 +259,7 @@ def enumerate_transitions(
         if moves is None:
             moves = memo[key] = _pair_moves(kind, src, dst, space)
         for target, movers in moves:
-            out.append(trusted(kind, sources, target, movers))
+            out.append(Transition(kind, sources, target, movers))
     return out
 
 
@@ -286,9 +271,13 @@ def _revalidate(
     structure: CoalitionStructure, space: DeliberationSpace, t: Transition
 ) -> tuple[DeliberativeCoalition, DeliberativeCoalition]:
     """The source and destination coalitions of a legal move, or raise."""
+    if t.kind not in TRANSITION_KINDS:
+        raise TransitionError(f"unknown transition kind {t.kind!r}")
     if len(t.sources) != 2 or len(t.movers) != 2:
         raise _stale(t, "expected exactly two sources")
     i, j = t.sources
+    if type(i) is not int or type(j) is not int:
+        raise TransitionError(f"source indices must be integers, got {t.sources!r}")
     if not (0 <= i < len(structure) and 0 <= j < len(structure)) or i == j:
         raise _stale(t, "source indices out of range")
     src, dst = structure[i], structure[j]

@@ -161,6 +161,38 @@ class TestTraceRoundTrip:
         with pytest.raises(ScenarioFormatError):
             read_trace(json.dumps({"format_version": 1, "steps": "no"}))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sources", [0.5, 1.9]),
+            ("sources", [True, 1]),
+            ("sources", ["0", 1]),
+            ("sources", ["x", 1]),
+            ("kind", "teleport"),
+            ("index", 0.0),
+            ("potential", 6.0),
+            ("signature", [2, 1.0]),
+            ("movers", ["v1v2", []]),
+            ("movers", [["v1", 2], []]),
+            ("seed", 1.7),
+            ("seed", True),
+            ("seed", -1),
+            ("tiers", [["teleport"]]),
+            ("step_cap", "90"),
+        ],
+    )
+    def test_malformed_value_rejected(self, field, value):
+        data = json.loads(write_trace(self.make_trace()))
+        if field in ("seed", "tiers"):
+            data["policy"][field] = value
+        elif field == "step_cap":
+            data["step_cap"] = value
+        else:
+            data["steps"][0][field] = value
+        with pytest.raises(ScenarioFormatError) as err:
+            read_trace(json.dumps(data))
+        assert err.value.clause == "format"
+
 
 class TestSummaryRoundTrip:
     def rows(self):

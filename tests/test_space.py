@@ -120,7 +120,7 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("kind", ["merge", "compromise", "subsume"])
     def test_forged_non_finite_target_rejected(self, space, kind):
         initial = default_initial_structure(space)
-        movers = tuple(initial.coalitions[i].members for i in (0, 1))
+        movers = tuple(initial[i].members for i in (0, 1))
         forged = Transition(kind, (0, 1), (math.inf, 0.0), movers)
         with pytest.raises((SpaceError, MetricError)) as err:
             apply_transition(initial, space, forged)

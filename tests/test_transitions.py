@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 import pytest
@@ -371,14 +370,14 @@ class TestForgedPairMoves:
     def test_added_mover_rejected(self, case):
         space, s, legal, forgery = self.build_case(case)
         movers_i, movers_j = legal.movers
-        forged = replace(legal, movers=(movers_i | {forgery.outsider}, movers_j))
+        forged = legal._replace(movers=(movers_i | {forgery.outsider}, movers_j))
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
 
     def test_dropped_mover_rejected(self, case):
         space, s, legal, _ = self.build_case(case)
         movers_i, movers_j = legal.movers
-        forged = replace(legal, movers=(movers_i - {min(movers_i)}, movers_j))
+        forged = legal._replace(movers=(movers_i - {min(movers_i)}, movers_j))
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
 
@@ -481,30 +480,39 @@ class TestMoveMemo:
     def test_forged_move_asks_the_rule(self, monkeypatch, case):
         space, s, legal, forgery = TestForgedPairMoves().build_case(case)
         movers_i, movers_j = legal.movers
-        forged = replace(legal, movers=(movers_i | {forgery.outsider}, movers_j))
+        forged = legal._replace(movers=(movers_i | {forgery.outsider}, movers_j))
         probed = _counted(monkeypatch, transitions, "_legal_movers")
         with pytest.raises(StaleTransitionError):
             apply_transition(s, space, forged)
         assert len(probed) == 1
 
 
-class TestTrustedTransitions:
-    def test_run_builds_no_transition_through_the_constructor(self, monkeypatch):
-        built = _counted(monkeypatch, Transition, "__post_init__")
-        _, trace, _ = _finite_run()
-        assert len(trace.steps) >= 5
-        assert built == []
+class TestTransitionTuples:
+    """A transition is a plain tuple, checked where it enters the package."""
 
-    def test_trusted_transitions_equal_constructed_ones(self):
+    def test_enumerated_moves_equal_rebuilt_ones(self):
         space, _, states = _finite_run()
+        assert issubclass(Transition, tuple)
         for kind in TRANSITION_KINDS:
             for t in enumerate_transitions(states[0], space, kind):
-                rebuilt = Transition(t.kind, t.sources, t.target_proposal, t.movers)
-                assert rebuilt == t and hash(rebuilt) == hash(t)
+                rebuilt = Transition(*t)
+                assert rebuilt == t == tuple(t) and hash(rebuilt) == hash(t)
 
-    def test_constructor_still_normalises(self):
+    def test_constructor_stores_fields_as_given(self):
         t = Transition("merge", [0, 1], "a", [{"v1"}, set()])
-        assert t.sources == (0, 1) and type(t.sources) is tuple
-        assert all(type(i) is int for i in t.sources)
-        assert t.movers == (frozenset({"v1"}), frozenset())
-        assert type(t.movers) is tuple and all(type(m) is frozenset for m in t.movers)
+        assert t.sources == [0, 1] and t.movers == [{"v1"}, set()]
+
+    @pytest.mark.parametrize("kind", ["teleport", None])
+    def test_apply_rejects_unknown_kind(self, kind):
+        space, init = builtin_fixture("example1")
+        (merge,) = by_kind(init, space, "merge")
+        with pytest.raises(TransitionError, match="unknown transition kind"):
+            apply_transition(init, space, merge._replace(kind=kind))
+
+    @pytest.mark.parametrize("sources", [(0.0, 1), (0, 1.0), (False, 1), ("0", 1)])
+    def test_apply_rejects_non_int_sources(self, sources):
+        space, init = builtin_fixture("example1")
+        (merge,) = by_kind(init, space, "merge")
+        assert merge.sources == (0, 1)
+        with pytest.raises(TransitionError, match="source indices must be integers"):
+            apply_transition(init, space, merge._replace(sources=sources))
