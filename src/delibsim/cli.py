@@ -30,7 +30,7 @@ from .engine import (
 )
 from .geometry import MetricError
 from .oracle import DEFAULT_STATE_CAP, OracleError, explore
-from .space import DeliberationSpace, OracleCapError, SpaceError
+from .space import DeliberationSpace, OracleCapError, ProposalRef, SpaceError
 from .transitions import (
     TRANSITION_KINDS,
     SubsetCapError,
@@ -154,12 +154,14 @@ def _load(args) -> tuple[DeliberationSpace, CoalitionStructure]:
     return load_scenario(Path(args.scenario).read_text())
 
 
+def _ref_text(ref: ProposalRef) -> str:
+    """A proposal id as it is, a continuous point as its coordinates."""
+    return ref if isinstance(ref, str) else "(" + ", ".join(f"{c:g}" for c in ref) + ")"
+
+
 def _transition_line(t: Transition) -> str:
     movers = " + ".join("{" + ",".join(sorted(m)) + "}" for m in t.movers if m)
-    target = t.target_proposal if isinstance(t.target_proposal, str) else (
-        "(" + ", ".join(f"{c:g}" for c in t.target_proposal) + ")"
-    )
-    return f"  sources={list(t.sources)} movers={movers or '{}'} -> {target}"
+    return f"  sources={list(t.sources)} movers={movers or '{}'} -> {_ref_text(t.target_proposal)}"
 
 
 def _cmd_run(args) -> int:
@@ -207,6 +209,7 @@ def _cmd_transitions(args) -> int:
 def _cmd_oracle(args) -> int:
     space, structure = _load(args)
     report = space.max_support()
+    support = f"m*={report.m_star} witnesses=[{', '.join(map(_ref_text, report.witnesses))}]"
     if not args.explore:
         if args.format == "json":
             print(json.dumps(
@@ -214,7 +217,7 @@ def _cmd_oracle(args) -> int:
                 indent=2, sort_keys=True,
             ))
         else:
-            print(f"m*={report.m_star} witnesses=[{', '.join(report.witnesses)}]")
+            print(support)
         return EXIT_OK
     result = explore(space, structure, args.kinds, state_cap=args.state_cap)
     unknown = result.truncated and not result.terminal_count
@@ -236,7 +239,7 @@ def _cmd_oracle(args) -> int:
             ),
         }, indent=2, sort_keys=True))
         return EXIT_OK
-    print(f"m*={report.m_star} witnesses=[{', '.join(report.witnesses)}]")
+    print(support)
     print(
         f"states={result.states_visited} edges={result.edges} "
         f"truncated={str(result.truncated).lower()}"

@@ -40,6 +40,7 @@ SELECTORS = ("uniform_random", "first_enumerated")
 CLASSIFICATION_SUCCESSFUL = "successful"
 CLASSIFICATION_UNSUCCESSFUL = "unsuccessful"
 CLASSIFICATION_STEP_CAP = "step_cap_reached"
+CLASSIFICATIONS = (CLASSIFICATION_SUCCESSFUL, CLASSIFICATION_UNSUCCESSFUL, CLASSIFICATION_STEP_CAP)
 
 _MASK64 = (1 << 64) - 1
 
@@ -118,7 +119,7 @@ class Policy:
         check_kinds([kind for tier in tiers for kind in tier], PolicyError)
         if self.selector not in SELECTORS:
             raise PolicyError(f"unknown selector {self.selector!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed > _MASK64:
+        if type(self.seed) is not int or self.seed < 0 or self.seed > _MASK64:
             raise PolicyError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "tiers", tiers)
 
@@ -228,9 +229,9 @@ def run(
     strict signature increase for compromise/subsume); a violation aborts
     with ``EngineInvariantError`` since it can only come from an engine bug.
     """
-    cap = default_step_cap(space) if step_cap is None else int(step_cap)
-    if cap < 0:
-        raise PolicyError("step cap must be non-negative")
+    cap = default_step_cap(space) if step_cap is None else step_cap
+    if type(cap) is not int or cap < 0:
+        raise PolicyError(f"step cap must be a non-negative integer, got {cap!r}")
     rng = SplitMix64(policy.seed)
     current = initial
     measured = (potential(current), signature(current))
@@ -308,8 +309,8 @@ class GeneratorConfig:
                 )
         if not (1 <= self.min_agents <= self.max_agents):
             raise PolicyError("agent bounds must satisfy 1 <= min <= max")
-        if self.mode == "finite" and self.max_proposals < 1:
-            raise PolicyError("finite generation needs at least one candidate")
+        if self.mode == "finite" and not 1 <= self.max_proposals <= len(_CANDIDATE_LETTERS):
+            raise PolicyError(f"generator field 'max_proposals' must be in 1..{len(_CANDIDATE_LETTERS)}")
         dims = self.dimensions
         if (
             not isinstance(dims, (list, tuple))

@@ -15,7 +15,9 @@ import math
 from typing import Optional, Sequence
 
 from .coalition import CoalitionStructure, validate_structure
-from .engine import BatchRow, Policy, PolicyError, RunTrace, TraceStep, default_initial_structure
+from .engine import (
+    CLASSIFICATIONS, BatchRow, Policy, PolicyError, RunTrace, TraceStep, default_initial_structure,
+)
 from .geometry import EuclideanMetric, ExplicitMetric, MetricError
 from .space import DeliberationSpace, SpaceError
 from .transitions import Transition, check_kinds
@@ -178,20 +180,7 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
         raise ScenarioValidationError(str(exc), clause=exc.clause) from None
 
     if "initial_structure" in data and data["initial_structure"] is not None:
-        entries = data["initial_structure"]
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and "proposal" in e and isinstance(e.get("members"), list)
-            for e in entries
-        ):
-            raise ScenarioFormatError(
-                "initial_structure must be a list of coalitions, each with 'proposal' "
-                "and a 'members' list",
-                clause="format",
-            )
-        structure = CoalitionStructure.from_pairs(
-            (tuple(str(m) for m in e["members"]), _decode_ref(e["proposal"], "coalition"))
-            for e in entries
-        )
+        structure = _decode_structure(data["initial_structure"], "initial_structure")
         violations = validate_structure(structure, space)
         if violations:
             first = violations[0]
@@ -236,12 +225,18 @@ def encode_structure(structure: CoalitionStructure) -> list:
 
 
 def _decode_structure(entries, what: str) -> CoalitionStructure:
-    pairs = []
-    for entry in entries:
-        pairs.append(
-            (tuple(str(m) for m in entry["members"]), _decode_ref(entry["proposal"], what))
+    """The one reader of an encoded structure, in scenarios and traces alike."""
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "proposal" in e and "members" in e for e in entries
+    ):
+        raise ScenarioFormatError(
+            f"{what} must be a list of coalitions, each with 'proposal' and 'members'",
+            clause="format",
         )
-    return CoalitionStructure.from_pairs(pairs)
+    return CoalitionStructure.from_pairs(
+        (_agent_set(e["members"], f"{what} members"), _decode_ref(e["proposal"], what))
+        for e in entries
+    )
 
 
 # -- traces -----------------------------------------------------------------------
@@ -292,7 +287,7 @@ def _int(value, what: str) -> int:
 def _agent_set(value, what: str) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ScenarioFormatError(
-            f"trace {what} must be a list of agent ids, got {value!r}", clause="format"
+            f"{what} must be a list of agent ids, got {value!r}", clause="format"
         )
     return frozenset(value)
 
@@ -313,6 +308,8 @@ def read_trace(text: str) -> RunTrace:
             selector=policy_block["selector"],
             seed=_int(policy_block["seed"], "policy seed"),
         )
+        if data["classification"] not in CLASSIFICATIONS:
+            raise ScenarioFormatError(f"unknown trace classification {data['classification']!r}")
         steps = []
         for entry in data["steps"]:
             check_kinds((entry["kind"],), ScenarioFormatError)
@@ -320,7 +317,7 @@ def read_trace(text: str) -> RunTrace:
                 entry["kind"],
                 tuple(_int(i, "step source") for i in entry["sources"]),
                 _decode_ref(entry["proposal"], "trace step"),
-                tuple(_agent_set(m, "step movers") for m in entry["movers"]),
+                tuple(_agent_set(m, "trace step movers") for m in entry["movers"]),
             )
             steps.append(
                 TraceStep(
@@ -334,9 +331,9 @@ def read_trace(text: str) -> RunTrace:
             scenario=data["scenario"],
             policy=policy,
             step_cap=_int(data["step_cap"], "step_cap"),
-            initial=_decode_structure(data["initial_structure"], "trace"),
+            initial=_decode_structure(data["initial_structure"], "trace initial_structure"),
             steps=tuple(steps),
-            terminal=_decode_structure(data["terminal_structure"], "trace"),
+            terminal=_decode_structure(data["terminal_structure"], "trace terminal_structure"),
             classification=data["classification"],
         )
     except (KeyError, TypeError) as exc:

@@ -1,15 +1,23 @@
 """The five coalition transition operators: enumeration and application.
 
 Enumeration returns every available transition of a kind from a structure,
-in a deterministic order.  The rule of every kind (single_agent, follow,
-merge, compromise, subsume) is written once, in ``_legal_movers``, which
-gives the mover sets of each legal move of a pair of coalitions to a
-target as subsets and intersections of the space's ``approvers``;
-enumeration and revalidation both call it.  Only the targets it is tried
-on differ (``_pair_targets``): single_agent and follow take the
-destination's proposal, and the pair moves the candidates of a finite space
-that both coalitions reach (``reach_mask``) or the witnesses of a
-continuous space's joint-feasibility test, ``feasible_witness``.
+in a deterministic order.  A move of a source coalition of ``s`` members
+and a destination of ``t`` members to a target proposal is judged by how
+many members of each approve the target, ``a`` and ``b``.  The move is
+legal when, by kind (``_legal`` is the one place this is written):
+
+    single_agent   a >= 1 and t >= s
+    follow         a == s
+    merge          a == s and b == t
+    compromise     a + b > max(s, t)
+    subsume        b == t and a >= 1 and a + t > s
+
+The movers are always the target's approvers in each coalition:
+single_agent moves them one at a time, follow moves the source's, and the
+pair kinds move both.  Single_agent and follow keep the destination's
+proposal.  ``_legal_movers`` applies the rule; enumeration and revalidation
+both call it, and only the targets it is tried on differ
+(``_pair_targets``).
 
 The moves of a pair are a pure function of (kind, source coalition,
 destination coalition) on an immutable space, and a step changes only the
@@ -99,6 +107,19 @@ def _active_indices(structure: CoalitionStructure) -> list[int]:
     ]
 
 
+def _legal(kind: str, a: int, b: int, s: int, t: int) -> bool:
+    """Whether the table in the module docstring allows the move."""
+    if kind == "single_agent":
+        return a >= 1 and t >= s
+    if kind == "follow":
+        return a == s
+    if kind == "merge":
+        return a == s and b == t
+    if kind == "compromise":
+        return a + b > max(s, t)
+    return b == t and a >= 1 and a + t > s
+
+
 def _legal_movers(
     kind: str,
     src: DeliberativeCoalition,
@@ -108,46 +129,25 @@ def _legal_movers(
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
     """The mover sets of every legal ``kind`` move of ``src`` and ``dst`` to ``target``.
 
-    Single_agent and follow keep the destination's proposal, so they take
-    no other target.  Single_agent moves one approver of the target out of
-    ``src`` into a ``dst`` at least as large, one move per approver in
-    declaration order.  Follow moves ``src`` whole, and every member must
-    approve.  Merge moves both coalitions whole, and every member must
-    approve the target.  Compromise moves the approvers of the target in
-    both coalitions, and they must outnumber each source.  Subsume moves
-    ``dst`` whole, all of whose members must approve the target, plus the
-    approvers in ``src``, of which there must be at least one, and the
-    result must outnumber ``src``.  An illegal move gives an empty list.
+    Single_agent gives one move per approver in ``src``, in declaration
+    order.  An illegal move gives an empty list.
     """
-    nobody: frozenset[str] = frozenset()
-    if kind in ("single_agent", "follow"):
-        if target != dst.proposal:
-            return []
-        if kind == "follow":
-            if src.members <= space.approvers(target):
-                return [(src.members, nobody)]
-            return []
-        if dst.size < src.size:
-            return []
-        return [
-            (frozenset({vid}), nobody)
-            for vid in space.sort_agents(src.members)
-            if space.approves(vid, target)
-        ]
+    if kind in ("single_agent", "follow") and target != dst.proposal:
+        return []
     approvers = space.approvers(target)
-    if kind == "merge":
-        if src.members <= approvers and dst.members <= approvers:
-            return [(src.members, dst.members)]
+    movers_i, movers_j = src.members & approvers, dst.members & approvers
+    if not _legal(kind, len(movers_i), len(movers_j), src.size, dst.size):
         return []
-    movers_i = src.members & approvers
-    if kind == "compromise":
-        movers_j = dst.members & approvers
-        if len(movers_i) + len(movers_j) > max(src.size, dst.size):
-            return [(movers_i, movers_j)]
-        return []
-    if dst.members <= approvers and movers_i and len(movers_i) + dst.size > src.size:
-        return [(movers_i, dst.members)]
-    return []
+    if kind == "single_agent":
+        return [(frozenset({vid}), frozenset()) for vid in space.sort_agents(movers_i)]
+    # A coalition that moves whole moves as its own member set, which memo entries then share.
+    if len(movers_i) == src.size:
+        movers_i = src.members
+    if len(movers_j) == dst.size:
+        movers_j = dst.members
+    if kind == "follow":
+        return [(movers_i, frozenset())]
+    return [(movers_i, movers_j)]
 
 
 def _pair_targets(
@@ -160,15 +160,12 @@ def _pair_targets(
 
     Single_agent and follow offer the destination's proposal.  Otherwise
     finite spaces offer, in declaration order, the candidate ids that some
-    member of each coalition approves, and no legal move needs another:
-    merge moves both coalitions whole, subsume all of a non-empty ``dst``
-    and at least one donor of ``src``, and compromise movers outnumber each
-    source, so each source gives at least one.  Continuous spaces offer the
-    feasibility witness of each agent subset that could back the move,
-    skipping subsets with none: for merge the union of the pair; for
-    compromise the subsets of the union larger than both sources, in
-    descending size; for subsume the donor subsets of ``src``, largest
-    first, each joined with all of ``dst``.
+    member of each coalition approves: every pair kind needs a >= 1 and
+    b >= 1.  Continuous spaces offer the feasibility witness of each agent
+    subset that could back the move, skipping subsets with none: for merge
+    the union of the pair; for compromise the subsets of the union larger
+    than both sources, in descending size; for subsume the donor subsets of
+    ``src``, largest first, each joined with all of ``dst``.
     """
     if kind in ("single_agent", "follow"):
         yield dst.proposal

@@ -246,6 +246,32 @@ class TestOracleCommand:
         assert "solver limit" in err
 
 
+class TestContinuousScenario:
+    """Every command that prints proposals handles continuous points in both formats."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--policy", "compromise"],
+        ["transitions", "--kinds", "merge,compromise,subsume"],
+        ["oracle"],
+    ])
+    def test_exits_cleanly(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "line.json"
+        path.write_text(dump_scenario(line_space([1.0, 2.0, -1.0])))
+        code, out, err = run_cli(capsys, "--format", fmt, *command, "--scenario", str(path))
+        assert code == 0
+        assert "Traceback" not in err
+        if fmt == "json":
+            json.loads(out)
+
+    def test_oracle_text_prints_the_witness_point(self, capsys, tmp_path):
+        path = tmp_path / "line.json"
+        path.write_text(dump_scenario(line_space([1.0, 2.0, -1.0])))
+        code, out, _ = run_cli(capsys, "oracle", "--scenario", str(path))
+        assert code == 0
+        assert out.startswith("m*=2 witnesses=[(")
+
+
 class TestBatchCommand:
     def test_summary_and_csv(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -288,6 +314,7 @@ class TestBatchCommand:
         ('{"max_agents": "x"}', "max_agents"),
         ('{"min_agents": true}', "min_agents"),
         ('{"max_proposals": 2.5}', "max_proposals"),
+        ('{"max_proposals": 26}', "max_proposals"),
         ('{"dimensions": 3}', "dimensions"),
         ('{"dimensions": [9]}', "dimensions"),
         ('{"dimensions": [1, "2"]}', "dimensions"),

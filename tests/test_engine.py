@@ -91,6 +91,8 @@ class TestPolicy:
             Policy.parse("follow", seed=-1)
         with pytest.raises(PolicyError):
             Policy.parse("follow", seed=1 << 64)
+        with pytest.raises(PolicyError):  # written as "seed": true, which read_trace refuses
+            Policy.parse("follow", seed=True)
         Policy.parse("follow", seed=(1 << 64) - 1)
 
 
@@ -145,6 +147,12 @@ class TestRun:
         trace = run(space, init, Policy.parse("merge"), step_cap=0)
         assert trace.classification == "step_cap_reached"
         assert trace.terminal == init
+
+    @pytest.mark.parametrize("cap", [2.7, True, "3", -1])
+    def test_step_cap_must_be_a_non_negative_int(self, cap):
+        space, init = builtin_fixture("example3")
+        with pytest.raises(PolicyError):
+            run(space, init, Policy.parse("merge"), step_cap=cap)
 
     def test_default_step_cap(self):
         space, _ = builtin_fixture("example2")
@@ -221,6 +229,9 @@ class TestGenerateScenario:
             GeneratorConfig(min_agents=5, max_agents=2)
         with pytest.raises(PolicyError):
             GeneratorConfig(dimensions=())
+        with pytest.raises(PolicyError, match="max_proposals"):
+            GeneratorConfig(max_proposals=26)
+        GeneratorConfig(max_proposals=25)  # one candidate per letter but "r"
 
     def test_config_dict_roundtrip(self):
         config = GeneratorConfig(mode="continuous", max_agents=6, dimensions=(1, 2))

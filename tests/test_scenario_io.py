@@ -120,6 +120,14 @@ class TestScenarioErrors:
             load_scenario(json.dumps(data))
         assert err.value.clause == "structure.approval"
 
+    @pytest.mark.parametrize("members", ["v1v2", [1, True], None])
+    def test_initial_structure_members_must_be_agent_ids(self, members):
+        data = self.good()
+        data["initial_structure"][0]["members"] = members
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(json.dumps(data))
+        assert err.value.clause == "format"
+
     def test_proposals_wrong_type(self):
         data = self.good()
         data["proposals"] = "all of them"
@@ -179,14 +187,19 @@ class TestTraceRoundTrip:
             ("seed", -1),
             ("tiers", [["teleport"]]),
             ("step_cap", "90"),
+            ("members", "v1v2"),
+            ("members", [1, True]),
+            ("classification", "banana"),
         ],
     )
     def test_malformed_value_rejected(self, field, value):
         data = json.loads(write_trace(self.make_trace()))
         if field in ("seed", "tiers"):
             data["policy"][field] = value
-        elif field == "step_cap":
-            data["step_cap"] = value
+        elif field in ("step_cap", "classification"):
+            data[field] = value
+        elif field == "members":
+            data["terminal_structure"][0]["members"] = value
         else:
             data["steps"][0][field] = value
         with pytest.raises(ScenarioFormatError) as err:
