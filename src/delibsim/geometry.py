@@ -67,9 +67,9 @@ class EuclideanMetric:
 class ExplicitMetric:
     """Finite metric given as a symmetric distance matrix over named points.
 
-    Validated on construction: square shape, zero diagonal, symmetry,
-    strictly positive off-diagonal entries, and the triangle inequality
-    checked exhaustively over all ordered triples.
+    Validated on construction: distinct string ids, square shape, zero
+    diagonal, symmetry, strictly positive off-diagonal entries, and the
+    triangle inequality checked exhaustively over all ordered triples.
     """
 
     ids: tuple[str, ...]
@@ -78,6 +78,8 @@ class ExplicitMetric:
 
     def __post_init__(self):
         ids = tuple(self.ids)
+        if not all(isinstance(pid, str) for pid in ids):
+            raise MetricError(f"point ids must be strings, got {ids!r}", clause="metric.ids")
         if len(ids) != len(set(ids)):
             raise MetricError("duplicate point ids in explicit metric", clause="metric.ids")
         k = len(ids)

@@ -207,7 +207,6 @@ class ExploreReport:
     truncated: bool
     terminal_keys: tuple[str, ...]
     terminal_successful: tuple[bool, ...]
-    all_terminals_successful: bool
     unsuccessful_witness: Optional[tuple[Transition, ...]]
     potential_monotone: bool
     signature_monotone: bool
@@ -216,6 +215,10 @@ class ExploreReport:
     @property
     def terminal_count(self) -> int:
         return len(self.terminal_keys)
+
+    @property
+    def all_terminals_successful(self) -> bool:
+        return all(self.terminal_successful)
 
 
 def explore(
@@ -237,8 +240,8 @@ def explore(
     """
     if space.is_continuous:
         raise OracleError("exploration needs a finite proposal list")
-    if state_cap < 1:
-        raise OracleError(f"state cap must be at least 1, got {state_cap}")
+    if type(state_cap) is not int or state_cap < 1:
+        raise OracleError(f"state cap must be an integer of at least 1, got {state_cap!r}")
     check_kinds(kinds, OracleError)
 
     start = canonicalize(initial)
@@ -304,14 +307,12 @@ def explore(
         witness = tuple(reversed(path))
 
     keys = {state_id: canonical_key(state) for state_id, state in structures.items()}
-    terminal_successful = tuple(ok for _, ok in terminals)
     return ExploreReport(
         states_visited=len(structures),
         edges=edges,
         truncated=truncated,
         terminal_keys=tuple(keys[state_id] for state_id, _ in terminals),
-        terminal_successful=terminal_successful,
-        all_terminals_successful=all(terminal_successful),
+        terminal_successful=tuple(ok for _, ok in terminals),
         unsuccessful_witness=witness,
         potential_monotone=potential_monotone,
         signature_monotone=signature_monotone,

@@ -62,52 +62,52 @@ def _loads(text: str, what: str) -> dict:
 
 def _check_version(data: dict, what: str) -> None:
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ScenarioFormatError(
             f"unsupported {what} format_version {version!r}, expected {FORMAT_VERSION}",
             clause="format_version",
         )
 
 
-# -- proposal reference encoding --------------------------------------------------
+# -- values -----------------------------------------------------------------------
+# Each JSON type is checked once and no value is coerced: ids go as read to the
+# space and the metric, which reject a non-string with their own clause.
 
-def encode_ref(ref) -> dict:
-    if isinstance(ref, str):
-        return {"id": ref}
-    return {"coords": list(ref)}
-
-
-def _decode_coords(raw, what: str) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not all(type(c) in (int, float) for c in raw):
-        raise ScenarioValidationError(
-            f"{what}: coords must be a list of numbers, got {raw!r}", clause="space.coords"
-        )
-    return tuple(float(c) for c in raw)
+def _typed(value, kind: type, what: str):
+    """``value`` as read when its type is exactly ``kind`` (a bool is not an int)."""
+    if type(value) is not kind:
+        raise ScenarioFormatError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
-def _decode_ref(data, what: str):
+def _decode_numbers(raw, what: str, clause: str) -> tuple:
+    """A JSON list of numbers, bools excluded, as a tuple of the numbers read."""
+    if type(raw) is not list or not all(type(x) in (int, float) for x in raw):
+        raise ScenarioValidationError(f"{what} must be a list of numbers, got {raw!r}", clause=clause)
+    return tuple(raw)
+
+
+def _encode_point(ref, key: str) -> dict:
+    return {key: ref} if isinstance(ref, str) else {"coords": list(ref)}
+
+
+def _decode_point(data, what: str, key: str):
+    """A point id (bare or under ``key``) or coordinates under ``coords``."""
     if isinstance(data, str):
         return data
     if isinstance(data, dict):
-        if "id" in data:
-            return str(data["id"])
+        if key in data:
+            return _typed(data[key], str, f"{what} {key}")
         if "coords" in data:
-            return _decode_coords(data["coords"], what)
-    raise ScenarioFormatError(f"unreadable proposal reference in {what}: {data!r}", clause="format")
+            return _decode_numbers(data["coords"], f"{what} coords", "space.coords")
+    raise ScenarioFormatError(f"{what} needs either {key!r} or 'coords', got {data!r}")
 
 
-def _decode_location(entry: dict, what: str):
-    if "coords" in entry:
-        return _decode_coords(entry["coords"], what)
-    if "point" in entry:
-        return str(entry["point"])
-    raise ScenarioFormatError(f"{what} needs either 'coords' or 'point'", clause="format")
-
-
-def _encode_location(loc) -> dict:
-    if isinstance(loc, str):
-        return {"point": loc}
-    return {"coords": list(loc)}
+def _decode_located(entries, what: str) -> list:
+    """(id, location) pairs of an agent or proposal list; the space checks the ids."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and "id" in e for e in entries):
+        raise ScenarioFormatError(f"{what}s must be a list of objects, each with an 'id'")
+    return [(e["id"], _decode_point(e, f"{what} {e['id']!r}", "point")) for e in entries]
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -137,7 +137,14 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
                 raise ScenarioValidationError(
                     f"points must be a list of ids, got {points!r}", clause="metric.ids"
                 )
-            metric = ExplicitMetric(tuple(str(p) for p in points), space_block.get("matrix", ()))
+            matrix = space_block.get("matrix", [])
+            if not isinstance(matrix, list):
+                raise ScenarioValidationError(
+                    f"matrix must be a list of rows, got {matrix!r}", clause="metric.shape"
+                )
+            metric = ExplicitMetric(
+                points, [_decode_numbers(row, "matrix row", "metric.shape") for row in matrix]
+            )
         else:
             raise ScenarioValidationError(
                 f"unknown metric kind {metric_kind!r}", clause="metric.kind"
@@ -146,33 +153,13 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
         raise ScenarioValidationError(str(exc), clause=exc.clause) from None
 
     raw_quo = data["status_quo"]
-    if isinstance(raw_quo, str):
-        raw_quo = {"point": raw_quo}
-    elif not isinstance(raw_quo, dict):
+    if not isinstance(raw_quo, (str, dict)):
         raw_quo = {"coords": raw_quo}
-    status_quo = _decode_location(raw_quo, "status_quo")
-
-    if not isinstance(data["agents"], list):
-        raise ScenarioFormatError("agents must be a list", clause="format")
-    agents = []
-    for entry in data["agents"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ScenarioFormatError("each agent needs an 'id'", clause="format")
-        agents.append((str(entry["id"]), _decode_location(entry, f"agent {entry['id']!r}")))
-
-    proposals_block = data["proposals"]
-    if proposals_block == "continuous":
-        proposals = None
-    elif isinstance(proposals_block, list):
-        proposals = []
-        for entry in proposals_block:
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise ScenarioFormatError("each proposal needs an 'id'", clause="format")
-            proposals.append((str(entry["id"]), _decode_location(entry, f"proposal {entry['id']!r}")))
-    else:
-        raise ScenarioFormatError(
-            "proposals must be a list or the string 'continuous'", clause="format"
-        )
+    status_quo = _decode_point(raw_quo, "status_quo", "point")
+    agents = _decode_located(data["agents"], "agent")
+    proposals = (
+        None if data["proposals"] == "continuous" else _decode_located(data["proposals"], "proposal")
+    )
 
     try:
         space = DeliberationSpace(metric, agents, status_quo, proposals)
@@ -206,11 +193,11 @@ def dump_scenario(space: DeliberationSpace, structure: Optional[CoalitionStructu
     payload = {
         "format_version": FORMAT_VERSION,
         "space": space_block,
-        "status_quo": _encode_location(space.status_quo),
-        "agents": [dict(id=vid, **_encode_location(loc)) for vid, loc in space.agents],
+        "status_quo": _encode_point(space.status_quo, "point"),
+        "agents": [dict(id=vid, **_encode_point(loc, "point")) for vid, loc in space.agents],
         "proposals": "continuous"
         if space.is_continuous
-        else [dict(id=pid, **_encode_location(loc)) for pid, loc in space.proposals],
+        else [dict(id=pid, **_encode_point(loc, "point")) for pid, loc in space.proposals],
     }
     if structure is not None:
         payload["initial_structure"] = encode_structure(structure)
@@ -219,7 +206,7 @@ def dump_scenario(space: DeliberationSpace, structure: Optional[CoalitionStructu
 
 def encode_structure(structure: CoalitionStructure) -> list:
     return [
-        {"proposal": encode_ref(c.proposal), "members": sorted(c.members)}
+        {"proposal": _encode_point(c.proposal, "id"), "members": sorted(c.members)}
         for c in structure
     ]
 
@@ -234,7 +221,7 @@ def _decode_structure(entries, what: str) -> CoalitionStructure:
             clause="format",
         )
     return CoalitionStructure.from_pairs(
-        (_agent_set(e["members"], f"{what} members"), _decode_ref(e["proposal"], what))
+        (_agent_set(e["members"], f"{what} members"), _decode_point(e["proposal"], what, "id"))
         for e in entries
     )
 
@@ -246,7 +233,7 @@ def encode_transition(t: Transition) -> dict:
     return {
         "kind": t.kind,
         "sources": list(t.sources),
-        "proposal": encode_ref(t.target_proposal),
+        "proposal": _encode_point(t.target_proposal, "id"),
         "movers": [sorted(m) for m in t.movers],
     }
 
@@ -278,12 +265,6 @@ def write_trace(trace: RunTrace) -> str:
     return _dumps(payload)
 
 
-def _int(value, what: str) -> int:
-    if type(value) is not int:
-        raise ScenarioFormatError(f"trace {what} must be an integer, got {value!r}", clause="format")
-    return value
-
-
 def _agent_set(value, what: str) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ScenarioFormatError(
@@ -295,19 +276,15 @@ def _agent_set(value, what: str) -> frozenset[str]:
 def read_trace(text: str) -> RunTrace:
     """Parse a trace written by ``write_trace``.
 
-    Every count, index and seed must be a JSON integer, every mover set a
-    list of agent ids and the policy and step kinds valid; anything else is a
-    ``ScenarioFormatError``, never coerced.
+    Counts, indices and the seed must be JSON integers, the scenario and ids
+    strings, mover sets lists of agent ids and the policy and kinds valid;
+    anything else is a ``ScenarioFormatError``, never coerced.
     """
     data = _loads(text, "trace")
     _check_version(data, "trace")
     try:
         policy_block = data["policy"]
-        policy = Policy(
-            tuple(tuple(tier) for tier in policy_block["tiers"]),
-            selector=policy_block["selector"],
-            seed=_int(policy_block["seed"], "policy seed"),
-        )
+        policy = Policy(policy_block["tiers"], policy_block["selector"], policy_block["seed"])
         if data["classification"] not in CLASSIFICATIONS:
             raise ScenarioFormatError(f"unknown trace classification {data['classification']!r}")
         steps = []
@@ -315,22 +292,22 @@ def read_trace(text: str) -> RunTrace:
             check_kinds((entry["kind"],), ScenarioFormatError)
             transition = Transition(
                 entry["kind"],
-                tuple(_int(i, "step source") for i in entry["sources"]),
-                _decode_ref(entry["proposal"], "trace step"),
+                tuple(_typed(i, int, "trace step source") for i in entry["sources"]),
+                _decode_point(entry["proposal"], "trace step proposal", "id"),
                 tuple(_agent_set(m, "trace step movers") for m in entry["movers"]),
             )
             steps.append(
                 TraceStep(
-                    index=_int(entry["index"], "step index"),
+                    index=_typed(entry["index"], int, "trace step index"),
                     transition=transition,
-                    potential=_int(entry["potential"], "step potential"),
-                    signature=tuple(_int(s, "step signature") for s in entry["signature"]),
+                    potential=_typed(entry["potential"], int, "trace step potential"),
+                    signature=tuple(_typed(s, int, "trace step signature") for s in entry["signature"]),
                 )
             )
         return RunTrace(
-            scenario=data["scenario"],
+            scenario=_typed(data["scenario"], str, "trace scenario"),
             policy=policy,
-            step_cap=_int(data["step_cap"], "step_cap"),
+            step_cap=_typed(data["step_cap"], int, "trace step_cap"),
             initial=_decode_structure(data["initial_structure"], "trace initial_structure"),
             steps=tuple(steps),
             terminal=_decode_structure(data["terminal_structure"], "trace terminal_structure"),
@@ -360,7 +337,7 @@ def write_summary(rows: Sequence[BatchRow]) -> str:
 
 
 def read_summary(text: str) -> list[BatchRow]:
-    """Parse a summary written by ``write_summary``."""
+    """Parse a summary written by ``write_summary``; counts are unsigned decimal integers."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or rows[0] != SUMMARY_HEADER:
@@ -371,6 +348,10 @@ def read_summary(text: str) -> list[BatchRow]:
     for raw in rows[1:]:
         if len(raw) != len(SUMMARY_HEADER):
             raise ScenarioFormatError(f"summary row has {len(raw)} fields", clause="format")
+        if raw[6] not in CLASSIFICATIONS or not all(raw[i].isdecimal() for i in (0, 1, 2, 5, 7, 8)):
+            raise ScenarioFormatError(
+                f"summary row needs integer counts and a known classification: {raw}", clause="format"
+            )
         out.append(
             BatchRow(
                 seed=int(raw[0]), n=int(raw[1]), d=int(raw[2]), x_size=raw[3],

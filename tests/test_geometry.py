@@ -109,6 +109,12 @@ class TestExplicitMetric:
             ExplicitMetric(("r", "r"), ((0.0, 1.0), (1.0, 0.0)))
         assert err.value.clause == "metric.ids"
 
+    @pytest.mark.parametrize("ids", [("r", 1), ("r", None), ("r", ["a"])])
+    def test_ids_must_be_strings(self, ids):
+        with pytest.raises(MetricError) as err:
+            ExplicitMetric(ids, ((0.0, 1.0), (1.0, 0.0)))
+        assert err.value.clause == "metric.ids"
+
     def test_triangle_slack_tolerated(self):
         # violation of 1e-13 sits inside the 1e-12 slack
         eps = 1e-13

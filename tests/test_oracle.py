@@ -124,7 +124,7 @@ class TestExplore:
 
     def test_state_cap_below_one(self):
         space, init = builtin_fixture("example1")
-        for cap in (0, -1):
+        for cap in (0, -1, 2.5, True):
             with pytest.raises(OracleError):
                 explore(space, init, TRANSITION_KINDS, state_cap=cap)
 

@@ -12,6 +12,7 @@ from delibsim import (
     Policy,
     ScenarioFormatError,
     ScenarioValidationError,
+    TRANSITION_KINDS,
     builtin_fixture,
     dump_scenario,
     load_scenario,
@@ -128,6 +129,30 @@ class TestScenarioErrors:
             load_scenario(json.dumps(data))
         assert err.value.clause == "format"
 
+    @pytest.mark.parametrize(
+        "fixture, path, value, clause",
+        [
+            ("example3", ("format_version",), True, "format_version"),
+            ("example3", ("format_version",), 1.0, "format_version"),
+            ("example3", ("agents", 0, "id"), 1, "space.agent_ids"),
+            ("example3", ("proposals", 0, "id"), None, "space.proposal_ids"),
+            ("example3", ("status_quo",), {"point": [1, 1]}, "format"),
+            ("example3", ("agents", 0, "coords", 0), True, "space.coords"),
+            ("example3", ("initial_structure", 0, "proposal", "id"), 7, "format"),
+            ("example1", ("status_quo", "point"), None, "format"),
+            ("example1", ("space", "points", 1), 7, "metric.ids"),
+            ("example1", ("space", "matrix", 0, 1), "1", "metric.shape"),
+            ("example1", ("space", "matrix", 0, 1), True, "metric.shape"),
+            ("example1", ("space", "matrix"), 7, "metric.shape"),
+        ],
+    )
+    def test_value_of_another_type_rejected(self, fixture, path, value, clause):
+        data = json.loads(dump_scenario(*builtin_fixture(fixture)))
+        _set(data, path, value)
+        with pytest.raises((ScenarioFormatError, ScenarioValidationError)) as err:
+            load_scenario(json.dumps(data))
+        assert err.value.clause == clause
+
     def test_proposals_wrong_type(self):
         data = self.good()
         data["proposals"] = "all of them"
@@ -227,6 +252,84 @@ class TestSummaryRoundTrip:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ScenarioFormatError):
             read_summary("wrong,header\n1,2\n")
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("seed", "x"), ("n", "2.5"), ("steps", ""), ("m_star", "-1"), ("classification", "banana")],
+    )
+    def test_malformed_row_rejected(self, column, value):
+        header, row = write_summary(self.rows()[:1]).splitlines()
+        fields = row.split(",")
+        fields[header.split(",").index(column)] = value
+        with pytest.raises(ScenarioFormatError) as err:
+            read_summary(f"{header}\n{','.join(fields)}\n")
+        assert err.value.clause == "format"
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+def _scalar_paths(node, path=()):
+    """(path, value) of every scalar leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _scalar_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _scalar_paths(child, path + (index,))
+    else:
+        yield path, node
+
+
+def _other_types(value) -> list:
+    """One value of each JSON scalar type other than ``value``'s.
+
+    A float stands apart from an integer only at an integer leaf, since JSON
+    has one number type.  Each stand-in is the likeliest to pass a coercion.
+    """
+    stand_ins = {str: json.dumps(value), int: 7, bool: bool(value), type(None): None}
+    if type(value) is int:
+        stand_ins[float] = float(value)
+    if type(value) is float:
+        del stand_ins[int]
+    return [v for kind, v in stand_ins.items() if kind is not type(value)]
+
+
+class TestTypeSweep:
+    """Every scalar of a written scenario or trace, swapped for another JSON type, is refused."""
+
+    @staticmethod
+    def documents():
+        policy = Policy((TRANSITION_KINDS,), seed=17)
+        for name in FIXTURE_NAMES:
+            space, init = builtin_fixture(name)
+            yield load_scenario, dump_scenario(space, init)
+            yield read_trace, write_trace(run(space, init, policy, scenario_ref=name))
+        space = line_space([2.0, 3.0])
+        init = structure((("v1",), (2.0,)), (("v2",), (3.0,)))
+        yield read_trace, write_trace(run(space, init, Policy.parse("merge", seed=4)))
+
+    def test_no_mutation_is_accepted(self):
+        accepted = []
+        count = 0
+        for reader, text in self.documents():
+            data = json.loads(text)
+            for path, value in _scalar_paths(json.loads(text)):
+                for other in _other_types(value):
+                    count += 1
+                    _set(data, path, other)
+                    try:
+                        reader(json.dumps(data))
+                    except (ScenarioFormatError, ScenarioValidationError):
+                        pass
+                    else:
+                        accepted.append((reader.__name__, path, other))
+                    _set(data, path, value)
+        assert count > 2000
+        assert accepted == []
 
 
 class TestFixtures:
