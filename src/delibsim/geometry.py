@@ -11,8 +11,9 @@ proposal they all strictly approve iff the status quo lies outside the convex
 hull of their locations, and ``separated_proposal`` accepts a set only when
 the hull misses the status quo by more than ``APPROVAL_MARGIN``.  The hull
 projection (``nearest_point_in_hull``) is Wolfe's method in plain Python on
-coordinate tuples; in one dimension the separation core uses a closed form
-that returns the point Wolfe returns, and Wolfe is its test reference.
+coordinate tuples, its minor cycle on reduced normal equations; in one
+dimension the separation core uses a closed form that returns the point
+Wolfe returns, and Wolfe is its test reference.
 ``best_common_proposal`` reports the optimal worst-case approval margin: it
 enumerates the support sets of a smallest enclosing ball of balls, exact up
 to rounding in O(n^(d+2)), with no failure path.
@@ -227,13 +228,24 @@ def _solve(system: list[list[float]], size: int) -> Optional[list[list[float]]]:
 def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
     """Weights w minimizing ||sum_i w_i q_i|| subject to sum_i w_i = 1, or None.
 
-    Solves the KKT system [G 1; 1' 0] [w; mu] = [0; 1], G the Gram matrix of
-    the rows; it is singular exactly when the rows are affinely dependent.
+    In u_i = q_i - q_0 the reduced normal equations U'U lam = -U'q_0 give
+    w = (1 - sum lam, lam), solved in closed form for one or two u_i, else by
+    ``_solve`` (d = 3 only); singular exactly when the rows are affinely dependent.
     """
-    m = len(active_rows)
-    system = [[sum(map(mul, a, b)) for b in active_rows] + [1.0, 0.0] for a in active_rows]
-    solved = _solve(system + [[1.0] * m + [0.0, 1.0]], m + 1)
-    return None if solved is None else solved[0][:m]
+    q0 = active_rows[0]
+    diffs = [tuple(map(sub, q, q0)) for q in active_rows[1:]]
+    normal = [[sum(map(mul, u, v)) for v in diffs] + [-sum(map(mul, u, q0))] for u in diffs]
+    if len(diffs) == 1:
+        ((a, r),) = normal
+        lam = None if a == 0.0 else [r / a]
+    elif len(diffs) == 2:
+        (a, b, r), (_, c, s) = normal
+        det = a * c - b * b
+        lam = None if det == 0.0 else [(r * c - b * s) / det, (a * s - b * r) / det]
+    else:
+        solved = _solve(normal, len(diffs))
+        lam = None if solved is None else solved[0]
+    return None if lam is None else [1.0 - sum(lam), *lam]
 
 
 def nearest_point_in_hull(

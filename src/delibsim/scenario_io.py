@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .coalition import CoalitionStructure, validate_structure
@@ -47,7 +48,37 @@ class ScenarioValidationError(ValueError):
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline, written
+    directly: json drops to its pure-Python encoder whenever ``indent`` is set.
+    Keys must be strings and arrays lists; a tuple or a set raises ``TypeError``."""
+    return _encode(payload, "\n") + "\n"
+
+
+# The JSON scalars' writers by exact type; a subclass takes the isinstance path.
+_SCALARS = {
+    str: encode_basestring_ascii, int: int.__repr__, bool: json.dumps, type(None): json.dumps,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+}
+
+
+def _encode(value, newline: str) -> str:
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, list):
+        try:  # an array of exact scalars in one pass
+            items = [_SCALARS[type(item)](item) for item in value]
+        except KeyError:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _loads(text: str, what: str) -> dict:
@@ -239,7 +270,8 @@ def encode_transition(t: Transition) -> dict:
 
 
 def write_trace(trace: RunTrace) -> str:
-    """Serialize a run trace; identical runs give byte-identical text."""
+    """Serialize a run trace: the text of ``json.dumps(indent=2, sort_keys=True)``
+    plus a newline, so identical runs give byte-identical text."""
     payload = {
         "format_version": FORMAT_VERSION,
         "scenario": trace.scenario,
@@ -314,7 +346,8 @@ def read_trace(text: str) -> RunTrace:
             classification=data["classification"],
         )
     except (KeyError, TypeError) as exc:
-        raise ScenarioFormatError(f"trace is missing fields: {exc}", clause="format") from None
+        problem = "is missing field" if isinstance(exc, KeyError) else "has a field of the wrong shape:"
+        raise ScenarioFormatError(f"trace {problem} {exc}", clause="format") from None
     except PolicyError as exc:
         raise ScenarioFormatError(f"trace policy: {exc}", clause="format") from None
 

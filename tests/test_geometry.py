@@ -226,6 +226,35 @@ class TestNearestPointInHull:
         point, dist = nearest_point_in_hull(target, generators)
         assert_projection(target, generators, point, dist)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-50_000, 50_000)] * d), min_size=2, max_size=8)
+        )
+    )
+    def test_affine_minimizer_matches_reference_kkt_solve(self, drawn):
+        import numpy as np
+
+        points = [tuple(c / 10_000 for c in p) for p in drawn]
+        # Wolfe's active sets are affinely independent: at most d + 1 rows.
+        for m in range(2, min(len(points), len(points[0]) + 1) + 1):
+            rows = points[:m]
+            q = np.array(rows)
+            kkt = np.ones((m + 1, m + 1))
+            kkt[:m, :m] = q @ q.T
+            kkt[m, m] = 0.0
+            if np.linalg.cond(kkt) > 1e6:
+                continue  # too close to affinely dependent to compare at 1e-9
+            reference = np.linalg.solve(kkt, np.eye(m + 1)[m])[:m]
+            weights = delibsim.geometry._affine_minimizer(rows)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+            x = q.T @ np.array(weights)
+            scale = max(np.linalg.norm(q, axis=1))
+            for u in q[1:] - q[0]:
+                assert abs(x @ u) <= 1e-9 * scale * np.linalg.norm(u)
+            tolerance = 1e-9 * max(1.0, *map(abs, reference))
+            assert weights == pytest.approx(list(reference), rel=1e-9, abs=tolerance)
+
 
 class TestSeparatedProposal:
     def test_one_sided_agents_get_a_proposal(self):

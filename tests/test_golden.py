@@ -10,8 +10,11 @@ truncate the larger graphs: counts, flags, terminal keys, the witness and
 the order of ``structures``.
 A refactor that is meant to keep behaviour must leave every file
 byte-identical.  To rewrite the corpus after an intended behaviour change,
-run ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
-and give the reason in ``CHANGES.md``.
+first run ``PYTHONPATH=src python tests/test_golden.py --compare`` from the
+repository root: it compares the corpus with fresh output as parsed JSON and
+prints, per differing file, the largest float move and every other change.
+Then run ``PYTHONPATH=src python tests/test_golden.py`` and give the reason
+and the moves in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -124,7 +127,45 @@ def test_trace_matches_golden(name):
     assert CASES[name]() == (GOLDEN_DIR / name).read_text()
 
 
+def drift(old, new, path: str = "$") -> tuple[float, list[str]]:
+    """Largest move between matching floats of two parsed JSON values, and the
+    paths where anything else differs: a value, a type, a key set or a length."""
+    if type(old) is float and type(new) is float:
+        return abs(old - new), []
+    if type(old) is not type(new):
+        return 0.0, [path]
+    if isinstance(old, dict) and old.keys() == new.keys():
+        parts = [drift(old[key], new[key], f"{path}.{key}") for key in old]
+    elif isinstance(old, list) and len(old) == len(new):
+        parts = [drift(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return 0.0, [] if old == new else [path]
+    return max((move for move, _ in parts), default=0.0), [p for _, paths in parts for p in paths]
+
+
+def test_drift_separates_float_moves_from_other_changes():
+    old = {"a": [1.0, 2, "x"], "b": {"c": 0.5}}
+    assert drift(old, old) == (0.0, [])
+    assert drift(old, {"a": [1.25, 2, "x"], "b": {"c": 0.5}}) == (0.25, [])
+    assert drift(old, {"a": [1.0, 3, "y"], "b": {"c": 0.5, "d": 0.5}}) == (0.0, ["$.a[1]", "$.a[2]", "$.b"])
+    assert drift([1.0, [2.0]], [1, [2.0, 3.0]]) == (0.0, ["$[0]", "$[1]"])
+
+
+def compare() -> int:
+    """Print the drift of every golden file from fresh output; 1 if any non-float changed."""
+    changed = 0
+    for name, make in sorted(CASES.items()):
+        move, others = drift(json.loads((GOLDEN_DIR / name).read_text()), json.loads(make()))
+        if move or others:
+            print(f"{name}: largest float move {move:.3g}, {len(others)} other changes {others[:5]}")
+        changed += bool(others)
+    print(f"{len(CASES)} cases, {changed} with changes that are not float moves")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--compare"]:
+        sys.exit(compare())
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, make in CASES.items():
         (GOLDEN_DIR / name).write_text(make())

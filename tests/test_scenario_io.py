@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delibsim import (
     BatchRow,
@@ -23,8 +26,25 @@ from delibsim import (
     write_summary,
     write_trace,
 )
+from delibsim.cli import main
+from delibsim.scenario_io import _dumps
 
 from conftest import line_space, structure
+
+TRICKY_TEXT = ["", '"', "\\", "\n\t\x00\x1f\x7f", "\u2028", "caf\u00e9", "\U0001f600", "</script>"]
+TRICKY_FLOATS = [1e-15, -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+JSON_TEXT = st.text() | st.sampled_from(TRICKY_TEXT)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from(TRICKY_FLOATS)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
 
 
 class TestScenarioRoundTrip:
@@ -167,6 +187,56 @@ class TestScenarioErrors:
         assert err.value.clause == "space.dimension"
 
 
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestWriter:
+    """``_dumps`` writes the text of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json(self, payload):
+        assert _dumps(payload) == json_text(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [[], {}, [[]], {"a": {}}, TRICKY_FLOATS, TRICKY_TEXT, [True, None, 10**30]]
+    )
+    def test_edge_values_match_json(self, payload):
+        assert _dumps(payload) == json_text(payload)
+
+    def test_scalar_subclasses_match_json(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        class Real(float):
+            def __repr__(self):
+                return "Real()"
+
+        payload = {"a": [Text("x"), Count(3), Real(0.5)], "b": Count(4), "c": {"d": Text("y")}}
+        assert _dumps(payload) == json_text(payload)
+
+    @pytest.mark.parametrize("bad", [(1, 2), {1, 2}, frozenset(), b"x", object()])
+    @pytest.mark.parametrize(
+        "place",
+        [lambda b: b, lambda b: [b], lambda b: [1, [2], b], lambda b: {"k": {"v": b}}],
+        ids=["top", "list", "mixed-list", "dict"],
+    )
+    def test_other_types_raise(self, bad, place):
+        with pytest.raises(TypeError):
+            _dumps(place(bad))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_dump_is_the_json_text(self, capsys, name):
+        assert main(["fixtures", "--dump", name]) == 0
+        out = capsys.readouterr().out
+        assert out == json_text(json.loads(out))
+
+
 class TestTraceRoundTrip:
     def make_trace(self):
         space, init = builtin_fixture("example1")
@@ -228,6 +298,21 @@ class TestTraceRoundTrip:
         else:
             data["steps"][0][field] = value
         with pytest.raises(ScenarioFormatError) as err:
+            read_trace(json.dumps(data))
+        assert err.value.clause == "format"
+
+    @pytest.mark.parametrize("block, field, value", [(None, "steps", 5), ("policy", "tiers", [7])])
+    def test_wrong_shape_is_reported_as_such(self, block, field, value):
+        data = json.loads(write_trace(self.make_trace()))
+        (data if block is None else data[block])[field] = value
+        with pytest.raises(ScenarioFormatError, match="has a field of the wrong shape") as err:
+            read_trace(json.dumps(data))
+        assert err.value.clause == "format"
+
+    def test_missing_field_is_named(self):
+        data = json.loads(write_trace(self.make_trace()))
+        del data["steps"]
+        with pytest.raises(ScenarioFormatError, match="is missing field 'steps'") as err:
             read_trace(json.dumps(data))
         assert err.value.clause == "format"
 
