@@ -322,9 +322,11 @@ class GeneratorConfig:
                 f"in 1..{MAX_DIMENSION}, got {dims!r}"
             )
         span = self.coordinate_range
-        if type(span) not in (int, float) or not math.isfinite(span):
+        # points are drawn from [-span, span], whose width 2 * span must be a finite float
+        if type(span) not in (int, float) or not 0 <= span <= math.nextafter(math.inf, 0) / 2:
             raise PolicyError(
-                f"generator field 'coordinate_range' must be a finite number, got {span!r}"
+                f"generator field 'coordinate_range' must be a non-negative number small "
+                f"enough that 2 * coordinate_range is finite, got {span!r}"
             )
         object.__setattr__(self, "dimensions", tuple(dims))
 

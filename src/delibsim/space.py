@@ -10,10 +10,11 @@ A space is immutable after construction, so three memos live on it:
 - the approval relation, per proposal (``approvers``), which every query
   reads as set algebra;
 - per agent set, because the enumerators probe the same coalitions and
-  subsets over and over: in finite spaces the candidates the set reaches
-  (``reach_mask``), in continuous spaces its joint feasibility
-  (``feasible_witness``), beside the sets whose hull reaches the status
-  quo, which settle every set one agent larger without a solve;
+  subsets over and over: in finite spaces its approval profile, the
+  approver count of each candidate with the masks of the candidates some
+  or all of the set approve (``profile``); in continuous spaces its joint
+  feasibility (``feasible_witness``), beside the sets whose hull reaches
+  the status quo, which settle every set one agent larger without a solve;
 - per (kind, source coalition, destination coalition), the legal moves of
   the pair (``_moves``), which ``transitions`` fills and reads: enumeration
   emits each pair's entry, and revalidation accepts a move found there and
@@ -130,7 +131,7 @@ class DeliberationSpace:
         self._feasibility: dict[frozenset, Optional[Coords]] = {}
         # agent sets whose hull reaches the status quo
         self._hull_rejected: set[frozenset] = set()
-        self._reach: dict[frozenset, int] = {}
+        self._profiles: dict[frozenset, tuple[tuple[int, ...], int, int]] = {}
         # (kind, src, dst) -> (target, movers) of each legal move; filled by transitions
         self._moves: dict[tuple, tuple] = {}
         self._support: Optional[SupportReport] = None
@@ -250,20 +251,21 @@ class DeliberationSpace:
         """Candidate ids the agent strictly approves.  Finite spaces only."""
         return {pid for pid in self.candidate_ids if self.approves(vid, pid)}
 
-    def reach_mask(self, ids: Iterable[str]) -> int:
-        """Candidates at least one given agent approves, as bits in ``candidate_ids`` order.
+    def profile(self, members: Iterable[str]) -> tuple[tuple[int, ...], int, int]:
+        """(counts, reach, full) of an agent set over ``candidate_ids``, memoized per set.
 
-        Bit k is set when some agent approves the k-th candidate.  Memoized
-        per agent set.  Finite spaces only.
+        ``counts[k]`` is how many of the agents approve the k-th candidate;
+        bit k of ``reach`` is set when that count is positive, and of ``full``
+        when it is the size of the set.  Finite spaces only.
         """
-        key = frozenset(ids)
-        if key not in self._reach:
-            self._reach[key] = sum(
-                1 << bit
-                for bit, pid in enumerate(self.candidate_ids)
-                if not key.isdisjoint(self.approvers(pid))
-            )
-        return self._reach[key]
+        key = frozenset(members)
+        found = self._profiles.get(key)
+        if found is None:
+            counts = tuple(len(key & self.approvers(pid)) for pid in self.candidate_ids)
+            reach = sum((count > 0) << k for k, count in enumerate(counts))
+            full = sum((count == len(key)) << k for k, count in enumerate(counts))
+            found = self._profiles[key] = (counts, reach, full)
+        return found
 
     def supporters(self, ids: Iterable[str], ref: ProposalRef) -> frozenset[str]:
         """Subset of the given agents that strictly approve the proposal."""

@@ -15,9 +15,10 @@ legal when, by kind (``_legal`` is the one place this is written):
 The movers are always the target's approvers in each coalition:
 single_agent moves them one at a time, follow moves the source's, and the
 pair kinds move both.  Single_agent and follow keep the destination's
-proposal.  ``_legal_movers`` applies the rule; enumeration and revalidation
-both call it, and only the targets it is tried on differ
-(``_pair_targets``).
+proposal.  ``_legal_movers`` applies the rule; revalidation calls it, and
+so does enumeration, on the witnesses of ``_pair_targets`` in a continuous
+space and on the candidates that pass ``_legal`` on the coalitions'
+approval profiles (``DeliberationSpace.profile``) in a finite one.
 
 The moves of a pair are a pure function of (kind, source coalition,
 destination coalition) on an immutable space, and a step changes only the
@@ -158,21 +159,16 @@ def _pair_targets(
 ) -> Iterator[ProposalRef]:
     """Target proposals to test ``_legal_movers`` on, in enumeration order.
 
-    Single_agent and follow offer the destination's proposal.  Otherwise
-    finite spaces offer, in declaration order, the candidate ids that some
-    member of each coalition approves: every pair kind needs a >= 1 and
-    b >= 1.  Continuous spaces offer the feasibility witness of each agent
-    subset that could back the move, skipping subsets with none: for merge
-    the union of the pair; for compromise the subsets of the union larger
-    than both sources, in descending size; for subsume the donor subsets of
-    ``src``, largest first, each joined with all of ``dst``.
+    Continuous spaces only; finite targets come from the pair's approval
+    profiles in ``_pair_moves``.  Single_agent and follow offer the
+    destination's proposal.  The pair kinds offer the feasibility witness of
+    each agent subset that could back the move, skipping subsets with none:
+    for merge the union of the pair; for compromise the subsets of the union
+    larger than both sources, in descending size; for subsume the donor
+    subsets of ``src``, largest first, each joined with all of ``dst``.
     """
     if kind in ("single_agent", "follow"):
         yield dst.proposal
-        return
-    if not space.is_continuous:
-        reached = space.reach_mask(src.members) & space.reach_mask(dst.members)
-        yield from (pid for bit, pid in enumerate(space.candidate_ids) if reached >> bit & 1)
         return
     union = src.members | dst.members
     if kind == "merge":
@@ -214,19 +210,39 @@ def _pair_moves(
 ) -> tuple[Move, ...]:
     """The (target, movers) of every legal ``kind`` move of the pair, in enumeration order.
 
-    In a continuous space many witnesses give the same movers, and only the
-    first witness for each distinct pair of mover sets is kept.
+    A finite space asks ``_legal`` about the candidates, in declaration
+    order, that the profiles' masks leave possible, and builds mover sets
+    only for the moves that pass.  In a continuous space many witnesses give
+    the same movers, and only the first witness for each distinct pair of
+    mover sets is kept.
     """
     found: list[Move] = []
+    if not space.is_continuous:
+        counts_i, reach_i, full_i = space.profile(src.members)
+        counts_j, reach_j, full_j = space.profile(dst.members)
+        candidates = space._candidate_ids
+        if kind in ("single_agent", "follow"):
+            bits = 1 << candidates.index(dst.proposal)
+        elif kind == "merge":
+            bits = full_i & full_j
+        elif kind == "compromise":
+            bits = reach_i & reach_j
+        else:
+            bits = reach_i & full_j
+        while bits:  # set bits, lowest first
+            k = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if _legal(kind, counts_i[k], counts_j[k], src.size, dst.size):
+                pid = candidates[k]
+                for movers in _legal_movers(kind, src, dst, space, pid):
+                    found.append((pid, movers))
+        return tuple(found)
     seen: set[tuple[frozenset[str], frozenset[str]]] = set()
-    dedupe = space.is_continuous
     for target in _pair_targets(kind, src, dst, space):
         for movers in _legal_movers(kind, src, dst, space, target):
-            if dedupe:
-                if movers in seen:
-                    continue
+            if movers not in seen:
                 seen.add(movers)
-            found.append((target, movers))
+                found.append((target, movers))
     return tuple(found)
 
 

@@ -320,6 +320,8 @@ class TestBatchCommand:
         ('{"dimensions": [1, "2"]}', "dimensions"),
         ('{"coordinate_range": "a"}', "coordinate_range"),
         ('{"coordinate_range": NaN}', "coordinate_range"),
+        ('{"coordinate_range": -1.0}', "coordinate_range"),
+        ('{"coordinate_range": 1e308}', "coordinate_range"),
     ])
     def test_bad_gen_value(self, capsys, gen, field):
         code, _, err = run_cli(capsys, "batch", "--gen", gen, "--policies", "merge")

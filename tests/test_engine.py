@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -232,6 +233,20 @@ class TestGenerateScenario:
         with pytest.raises(PolicyError, match="max_proposals"):
             GeneratorConfig(max_proposals=26)
         GeneratorConfig(max_proposals=25)  # one candidate per letter but "r"
+
+    @pytest.mark.parametrize(
+        "span", [-1.0, 1e308, math.inf, 10**400], ids=["negative", "1e308", "inf", "huge_int"]
+    )
+    def test_coordinate_range_must_span_finite_width(self, span):
+        # -1.0 would draw from a reversed interval; 2 * 1e308 overflows, and
+        # the space then blamed a non-finite coordinate on agent 'v1'.
+        with pytest.raises(PolicyError, match="'coordinate_range'"):
+            GeneratorConfig(coordinate_range=span)
+
+    @pytest.mark.parametrize("span", [0, 0.0, 1e300])
+    def test_coordinate_range_edge_values_generate(self, span):
+        space, _ = generate_scenario(GeneratorConfig(coordinate_range=span), 5)
+        assert all(abs(x) <= span for _, loc in space.agents for x in loc)
 
     def test_config_dict_roundtrip(self):
         config = GeneratorConfig(mode="continuous", max_agents=6, dimensions=(1, 2))

@@ -57,14 +57,24 @@ class TestNaiveTransitions:
 
     def test_agrees_on_every_explored_state(self, monkeypatch):
         # Explored states hold the coalitions that transitions build, so
-        # the reach filter drops far more targets there than at the start.
-        # The oracle loops over pairs, candidates and agents in declaration
-        # order, so the lists agree element for element, not only as sets.
-        # The unfiltered pass runs on a fresh space of the same seed, so it
-        # derives every pair's moves again instead of reading the memo the
-        # filtered pass filled; structures are values and carry over.
+        # the profile masks drop far more candidates there than at the
+        # start.  The oracle loops over pairs, candidates and agents in
+        # declaration order, so the lists agree element for element, not
+        # only as sets.  The unfiltered pass sets every candidate's bit in
+        # both masks and keeps the true counts, so ``_legal`` alone decides
+        # there: the masks may only filter.  It runs on a fresh space of the
+        # same seed, so it derives every pair's moves again instead of
+        # reading the memo the filtered pass filled; structures are values
+        # and carry over.
         config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
         grouped = 0
+        real = DeliberationSpace.profile
+
+        def unmasked(self, members):
+            counts, _, _ = real(self, members)
+            every = (1 << len(counts)) - 1
+            return counts, every, every
+
         for seed in range(1, 41):
             space, init = generate_scenario(config, seed)
             states = explore(space, init, TRANSITION_KINDS).structures.values()
@@ -74,7 +84,7 @@ class TestNaiveTransitions:
                 assert mine == naive_transitions(state, space, kind), (seed, kind, state)
             fresh, _ = generate_scenario(config, seed)
             with monkeypatch.context() as patch:
-                patch.setattr(DeliberationSpace, "reach_mask", lambda self, ids: -1)
+                patch.setattr(DeliberationSpace, "profile", unmasked)
                 unfiltered = [enumerate_transitions(state, fresh, kind) for state, kind in cases]
             assert filtered == unfiltered, seed
             grouped += sum(any(c.size > 1 for c in state) for state in states)

@@ -134,7 +134,7 @@ class TestQueries:
 
     def test_approval_set_undefined_on_continuous(self):
         space = line_space([1.0])
-        for query in (lambda: space.approval_set("v1"), lambda: space.reach_mask(["v1"])):
+        for query in (lambda: space.approval_set("v1"), lambda: space.profile(["v1"])):
             with pytest.raises(SpaceError) as err:
                 query()
             assert err.value.clause == "space.continuous"
@@ -191,17 +191,20 @@ class TestApprovalRelation:
         agents_at = Counter(loc for _, loc in space.agents)
         assert all(count <= agents_at[agent] for (agent, _), count in decided.items())
 
-    def test_reach_mask_unions_member_approval_sets(self):
+    def test_profile_counts_and_masks(self):
         config = GeneratorConfig(mode="finite", min_agents=5, max_agents=6, dimensions=(2,))
         for seed in range(10):
             space, _ = generate_scenario(config, seed)
-            bit = {pid: 1 << k for k, pid in enumerate(space.candidate_ids)}
+            ids = space.candidate_ids
             for size in range(len(space.agent_ids) + 1):
                 for members in itertools.combinations(space.agent_ids, size):
-                    expected = sum(bit[pid] for pid in set().union(*map(space.approval_set, members)))
-                    assert space.reach_mask(members) == expected, (seed, members)
+                    counts = tuple(len(set(members) & space.approvers(pid)) for pid in ids)
+                    approves = [[pid in space.approval_set(v) for v in members] for pid in ids]
+                    reach = sum(any(row) << k for k, row in enumerate(approves))
+                    full = sum(all(row) << k for k, row in enumerate(approves))
+                    assert space.profile(members) == (counts, reach, full), (seed, members)
 
-    def test_reach_mask_decided_once_per_set(self, monkeypatch):
+    def test_profile_built_once_per_set(self, monkeypatch):
         space, _ = generate_scenario(GeneratorConfig(mode="finite", min_agents=5, max_agents=6), 3)
         queried = Counter()
         real = DeliberationSpace.approvers
@@ -213,9 +216,9 @@ class TestApprovalRelation:
         monkeypatch.setattr(DeliberationSpace, "approvers", counted)
         sets = [space.agent_ids[:k] for k in range(len(space.agent_ids) + 1)]
         once = {pid: len(sets) for pid in space.candidate_ids}
-        first = [space.reach_mask(members) for members in sets]
+        first = [space.profile(members) for members in sets]
         assert queried == once
-        assert [space.reach_mask(frozenset(members)) for members in sets] == first
+        assert [space.profile(frozenset(members)) for members in sets] == first
         assert queried == once
 
     @pytest.mark.parametrize(

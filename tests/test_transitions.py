@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from delibsim import transitions
 from delibsim import (
     TRANSITION_KINDS,
+    DeliberationSpace,
     GeneratorConfig,
     Policy,
     StaleTransitionError,
@@ -445,8 +447,18 @@ def _finite_run(seed=3):
 class TestMoveMemo:
     """Each pair's moves are derived once per space and read back after."""
 
-    def test_pair_targets_once_per_pair(self, monkeypatch):
-        probed = _counted(monkeypatch, transitions, "_pair_targets")
+    def test_pair_moves_once_per_pair(self, monkeypatch):
+        filled = _counted(monkeypatch, transitions, "_pair_moves")
+        builds = Counter()
+        profile = DeliberationSpace.profile
+
+        def counted_profile(self, members):
+            before = len(self._profiles)
+            found = profile(self, members)
+            builds[frozenset(members)] += len(self._profiles) - before
+            return found
+
+        monkeypatch.setattr(DeliberationSpace, "profile", counted_profile)
         space, trace, states = _finite_run()
         assert len(trace.steps) >= 5
         evaluations = 0
@@ -456,16 +468,20 @@ class TestMoveMemo:
                 enumerate_transitions(state, space, kind)
                 pairs = active * (active - 1)
                 evaluations += pairs // 2 if kind in ("merge", "compromise") else pairs
-        keys = [(kind, src, dst) for kind, src, dst, _ in probed]
-        assert len(keys) == len(set(keys))
+        keys = Counter((kind, src, dst) for kind, src, dst, _ in filled)
+        assert set(keys.values()) == {1}
         assert len(keys) < evaluations
-        before = len(probed)
+        # every coalition a fill met had its profile built once, on first use
+        met = {c.members for _, src, dst in keys for c in (src, dst)}
+        assert set(builds) == met and set(builds.values()) == {1}
+        before = len(filled)
         again = [enumerate_transitions(states[0], space, kind) for kind in TRANSITION_KINDS]
-        assert len(probed) == before
-        probed.clear()
+        assert len(filled) == before
+        filled.clear()
         space._moves.clear()
         fresh = [enumerate_transitions(states[0], space, kind) for kind in TRANSITION_KINDS]
-        assert probed and fresh == again
+        assert filled and fresh == again
+        assert set(builds.values()) == {1}
 
     def test_enumerated_moves_revalidate_from_memo(self, monkeypatch):
         space, initial = generate_scenario(FINITE_TEN, 3)
