@@ -30,10 +30,9 @@ from .engine import (
 )
 from .geometry import MetricError
 from .oracle import DEFAULT_STATE_CAP, OracleError, explore
-from .space import DeliberationSpace, OracleCapError, ProposalRef, SpaceError
+from .space import DeliberationSpace, ProposalRef, SpaceError, SubsetCapError
 from .transitions import (
     TRANSITION_KINDS,
-    SubsetCapError,
     Transition,
     check_kinds,
     enumerate_transitions,
@@ -335,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"delibsim: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OracleCapError, SubsetCapError) as exc:
+    except SubsetCapError as exc:
         print(f"delibsim: solver limit: {exc}", file=sys.stderr)
         return EXIT_CAP
 

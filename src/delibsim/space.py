@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .geometry import (
     APPROVAL_MARGIN,
@@ -43,7 +43,7 @@ from .geometry import (
 
 STATUS_QUO_ID = "r"
 
-ORACLE_CAP = 16
+SUBSET_SEARCH_CAP = 16
 
 ProposalRef = Union[str, Coords]
 PointRefLike = Union[str, Sequence]
@@ -57,8 +57,8 @@ class SpaceError(ValueError):
         self.clause = clause
 
 
-class OracleCapError(RuntimeError):
-    """The continuous support oracle was asked to search too many agents."""
+class SubsetCapError(RuntimeError):
+    """A continuous subset search was asked to walk more than ``SUBSET_SEARCH_CAP`` agents."""
 
 
 def _approving(dist, agents, loc) -> frozenset[str]:
@@ -326,17 +326,35 @@ class DeliberationSpace:
         self._feasibility[key] = witness
         return witness
 
+    def feasible_sets(self, pool: Iterable[str], min_size: int, base=frozenset()) -> Iterator[tuple]:
+        """(set, witness) of each feasible union of ``base`` and a subset of ``pool``.
+
+        Subsets of ``pool`` of ``min_size`` agents or more are walked in
+        declaration order, largest first, at one ``feasible_witness`` call
+        each.  Raises ``SubsetCapError`` first if ``pool`` and ``base`` hold
+        more than ``SUBSET_SEARCH_CAP`` agents.
+        """
+        pool = self.sort_agents(pool)
+        total = len(base.union(pool))
+        if total > SUBSET_SEARCH_CAP:
+            raise SubsetCapError(f"subset search capped at {SUBSET_SEARCH_CAP} agents, asked for {total}")
+        for size in range(len(pool), min_size - 1, -1):
+            for chosen in itertools.combinations(pool, size):
+                members = base.union(chosen)
+                witness = self.feasible_witness(members)
+                if witness is not None:
+                    yield members, witness
+
     # -- maximum support -------------------------------------------------------
 
     def max_support(self) -> SupportReport:
         """Maximum number of agents any single non-status-quo proposal attracts.
 
         Finite spaces count supporters of every candidate exactly.
-        Continuous spaces search agent subsets in descending cardinality with
-        the hull test of ``feasible_witness`` and stop at the first feasible
-        subset; agents sitting on the status quo approve nothing and are
-        skipped.  The continuous search refuses spaces of more than
-        ``ORACLE_CAP`` agents.  Memoized.
+        Continuous spaces take the first, so largest, set of
+        ``feasible_sets`` over the agents that do not sit on the status quo
+        (those approve nothing), so more than ``SUBSET_SEARCH_CAP`` such
+        agents raise ``SubsetCapError``.  Memoized.
         """
         if self._support is None:
             self._support = self._compute_max_support()
@@ -350,14 +368,7 @@ class DeliberationSpace:
                 return SupportReport(0, ())
             return SupportReport(best, tuple(pid for pid, count in counts.items() if count == best))
 
-        if len(self.agents) > ORACLE_CAP:
-            raise OracleCapError(
-                f"continuous support oracle capped at {ORACLE_CAP} agents, space has {len(self.agents)}"
-            )
         eligible = [vid for vid, _, radius in self._radii if radius > APPROVAL_MARGIN]
-        for size in range(len(eligible), 0, -1):
-            for subset in itertools.combinations(eligible, size):
-                witness = self.feasible_witness(subset)
-                if witness is not None:
-                    return SupportReport(size, (witness,))
+        for members, witness in self.feasible_sets(eligible, 1):
+            return SupportReport(len(members), (witness,))
         return SupportReport(0, ())

@@ -44,10 +44,10 @@ first) is judged by ``_legal_movers`` itself.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .coalition import CoalitionStructure, DeliberativeCoalition
-from .space import DeliberationSpace, ProposalRef
+from .space import DeliberationSpace, ProposalRef, SubsetCapError  # noqa: F401 (re-exported)
 
 TRANSITION_KINDS = ("single_agent", "follow", "merge", "compromise", "subsume")
 
@@ -56,8 +56,6 @@ TRANSITION_KINDS = ("single_agent", "follow", "merge", "compromise", "subsume")
 POTENTIAL_KINDS = ("single_agent", "follow", "merge", "subsume")
 SIGNATURE_KINDS = ("compromise", "subsume")
 
-SUBSET_SEARCH_CAP = 20
-
 
 class TransitionError(ValueError):
     """Malformed transition request."""
@@ -65,10 +63,6 @@ class TransitionError(ValueError):
 
 class StaleTransitionError(RuntimeError):
     """A transition no longer matches the structure it is applied to."""
-
-
-class SubsetCapError(RuntimeError):
-    """A continuous compromise search exceeded the subset search cap."""
 
 
 def check_kinds(kinds: Sequence[str], error: type[Exception] = TransitionError) -> None:
@@ -162,40 +156,22 @@ def _pair_targets(
     Continuous spaces only; finite targets come from the pair's approval
     profiles in ``_pair_moves``.  Single_agent and follow offer the
     destination's proposal.  The pair kinds offer the feasibility witness of
-    each agent subset that could back the move, skipping subsets with none:
-    for merge the union of the pair; for compromise the subsets of the union
-    larger than both sources, in descending size; for subsume the donor
-    subsets of ``src``, largest first, each joined with all of ``dst``.
+    each agent set that could back the move, skipping sets with none: for
+    merge the union of the pair; through ``DeliberationSpace.feasible_sets``,
+    for compromise the subsets of the union larger than both sources, and
+    for subsume the donor subsets of ``src`` joined with all of ``dst``.
     """
     if kind in ("single_agent", "follow"):
         yield dst.proposal
-        return
-    union = src.members | dst.members
-    if kind == "merge":
-        subsets: Iterable[Iterable[str]] = (union,)
-    else:
-        if len(union) > SUBSET_SEARCH_CAP:
-            raise SubsetCapError(
-                f"{kind} subset search capped at {SUBSET_SEARCH_CAP} agents, pair has {len(union)}"
-            )
-        if kind == "compromise":
-            universe = space.sort_agents(union)
-            subsets = (
-                subset
-                for size in range(len(universe), max(src.size, dst.size), -1)
-                for subset in itertools.combinations(universe, size)
-            )
-        else:
-            donors = space.sort_agents(src.members)
-            min_donors = max(1, src.size - dst.size + 1)
-            subsets = (
-                dst.members.union(chosen)
-                for take in range(src.size, min_donors - 1, -1)
-                for chosen in itertools.combinations(donors, take)
-            )
-    for subset in subsets:
-        witness = space.feasible_witness(subset)
+    elif kind == "merge":
+        witness = space.feasible_witness(src.members | dst.members)
         if witness is not None:
+            yield witness
+    elif kind == "compromise":
+        for _, witness in space.feasible_sets(src.members | dst.members, max(src.size, dst.size) + 1):
+            yield witness
+    else:
+        for _, witness in space.feasible_sets(src.members, max(1, src.size - dst.size + 1), dst.members):
             yield witness
 
 

@@ -16,9 +16,9 @@ from delibsim import (
     ExplicitMetric,
     GeneratorConfig,
     MetricError,
-    OracleCapError,
     Policy,
     SpaceError,
+    SubsetCapError,
     Transition,
     apply_transition,
     builtin_fixture,
@@ -291,8 +291,13 @@ class TestMaxSupport:
 
     def test_oracle_cap(self):
         space = line_space([float(i + 1) for i in range(17)])
-        with pytest.raises(OracleCapError):
+        with pytest.raises(SubsetCapError):
             space.max_support()
+
+    def test_oracle_cap_counts_only_eligible_agents(self):
+        # the agent on the status quo approves nothing, so 16 agents are searched
+        space = line_space([0.0] + [float(i + 1) for i in range(16)])
+        assert space.max_support().m_star == 16
 
     def test_memoized(self):
         space = line_space([2.0, 6.0])
@@ -374,6 +379,35 @@ class TestFeasibleWitness:
                     assert (witness is not None) == space.common_report(subset).feasible, (seed, subset)
                     if witness is not None:
                         assert all(space.approves(v, witness) for v in subset), (seed, subset)
+
+
+class TestFeasibleSets:
+    def test_declaration_order_largest_first(self):
+        space = line_space([1.0, 2.0, -1.0])
+        found = list(space.feasible_sets(["v3", "v1", "v2"], 1))
+        assert [members for members, _ in found] == [
+            {"v1", "v2"}, {"v1"}, {"v2"}, {"v3"},
+        ]
+        for members, witness in found:
+            assert members <= space.approvers(witness)
+
+    def test_joins_base_and_stops_at_min_size(self):
+        space = line_space([1.0, 2.0, -1.0, 3.0])
+        assert [m for m, _ in space.feasible_sets(["v2", "v4"], 1, frozenset({"v1"}))] == [
+            {"v1", "v2", "v4"}, {"v1", "v2"}, {"v1", "v4"},
+        ]
+        assert [m for m, _ in space.feasible_sets(["v1", "v2", "v4"], 3)] == [{"v1", "v2", "v4"}]
+        assert list(space.feasible_sets(["v1", "v2"], 1, frozenset({"v3"}))) == []
+
+    @pytest.mark.parametrize("n, raises", [(16, False), (17, True)])
+    def test_cap_counts_pool_and_base(self, n, raises):
+        space = line_space([float(i + 1) for i in range(n)])
+        walk = space.feasible_sets(space.agent_ids[1:], n - 1, frozenset({"v1"}))
+        if raises:
+            with pytest.raises(SubsetCapError):
+                next(walk)
+        else:
+            assert [m for m, _ in walk] == [frozenset(space.agent_ids)]
 
 
 class TestHullRejectedSets:

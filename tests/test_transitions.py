@@ -209,14 +209,18 @@ class TestCompromise:
         for t in found:
             assert len(t.moving_agents) > max(2, 1)
 
-    def test_subset_cap(self):
-        agents = [1.0 + 0.01 * k for k in range(21)]
-        space = line_space(agents)
-        first = tuple(f"v{i + 1}" for i in range(11))
-        second = tuple(f"v{i + 1}" for i in range(11, 21))
-        s = structure((first, (1.05,)), (second, (1.16,)))
-        with pytest.raises(SubsetCapError):
-            by_kind(s, space, "compromise")
+    @pytest.mark.parametrize("n, raises", [(16, False), (17, True)])
+    def test_subset_cap(self, n, raises):
+        # a union of n - 1 and 1 agents walks only itself, so the 16-agent case is cheap
+        space = line_space([1.0 + 0.01 * k for k in range(n)])
+        first = tuple(f"v{i + 1}" for i in range(n - 1))
+        s = structure((first, (1.05,)), ((f"v{n}",), (1.16,)))
+        if raises:
+            with pytest.raises(SubsetCapError):
+                by_kind(s, space, "compromise")
+        else:
+            (found,) = by_kind(s, space, "compromise")
+            assert found.moving_agents == frozenset(space.agent_ids)
 
 
 class TestSubsume:
