@@ -220,7 +220,7 @@ def _solve(system: list[list[float]], size: int) -> Optional[list[list[float]]]:
         sol = [0.0] * size
         for i in range(size - 1, -1, -1):
             row = system[i]
-            sol[i] = (row[rhs] - sum(map(mul, row[i + 1:size], sol[i + 1:]))) / row[i]
+            sol[i] = (row[rhs] - math.fsum(map(mul, row[i + 1:size], sol[i + 1:]))) / row[i]
         solutions.append(sol)
     return solutions
 
@@ -234,7 +234,7 @@ def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
     """
     q0 = active_rows[0]
     diffs = [tuple(map(sub, q, q0)) for q in active_rows[1:]]
-    normal = [[sum(map(mul, u, v)) for v in diffs] + [-sum(map(mul, u, q0))] for u in diffs]
+    normal = [[math.fsum(map(mul, u, v)) for v in diffs] + [-math.fsum(map(mul, u, q0))] for u in diffs]
     if len(diffs) == 1:
         ((a, r),) = normal
         lam = None if a == 0.0 else [r / a]
@@ -245,7 +245,7 @@ def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
     else:
         solved = _solve(normal, len(diffs))
         lam = None if solved is None else solved[0]
-    return None if lam is None else [1.0 - sum(lam), *lam]
+    return None if lam is None else [1.0 - math.fsum(lam), *lam]
 
 
 def nearest_point_in_hull(
@@ -270,7 +270,7 @@ def _nearest_point_in_hull(tgt: Coords, rows: Sequence[Coords]) -> tuple[Coords,
     """``nearest_point_in_hull`` on validated float tuples of one dimension."""
     # Exact duplicates make the minor cycle degenerate; keep first occurrences.
     q = [tuple(map(sub, row, tgt)) for row in dict.fromkeys(rows)]
-    sq_norms = [sum(map(mul, qi, qi)) for qi in q]
+    sq_norms = [math.fsum(map(mul, qi, qi)) for qi in q]
     stop_tol = 1e-12 * (1.0 + max(sq_norms))
 
     active = [sq_norms.index(min(sq_norms))]
@@ -278,9 +278,9 @@ def _nearest_point_in_hull(tgt: Coords, rows: Sequence[Coords]) -> tuple[Coords,
     x = q[active[0]]
 
     for _ in range(HULL_ITERATION_CAP):
-        dots = [sum(map(mul, qi, x)) for qi in q]
+        dots = [math.fsum(map(mul, qi, x)) for qi in q]
         candidate = dots.index(min(dots))
-        if dots[candidate] >= sum(map(mul, x, x)) - stop_tol or candidate in active:
+        if dots[candidate] >= math.fsum(map(mul, x, x)) - stop_tol or candidate in active:
             break
         active.append(candidate)
         weights.append(0.0)
@@ -309,16 +309,16 @@ def _nearest_point_in_hull(tgt: Coords, rows: Sequence[Coords]) -> tuple[Coords,
                 weights[drop] = 1.0
             active = [a for a, w in zip(active, weights) if w > 0.0]
             weights = [w for w in weights if w > 0.0]
-            total = sum(weights)
+            total = math.fsum(weights)
             weights = [w / total for w in weights]
             if len(active) == 1:
                 break
-        x = tuple(sum(map(mul, weights, column)) for column in zip(*(q[a] for a in active)))
+        x = tuple(math.fsum(map(mul, weights, column)) for column in zip(*(q[a] for a in active)))
         if alpha is None:
             break
 
     point = tuple(map(add, x, tgt))
-    return point, math.sqrt(sum(map(mul, x, x)))
+    return point, math.sqrt(math.fsum(map(mul, x, x)))
 
 
 def separated_proposal(
@@ -416,17 +416,17 @@ def _tangent_centres(support: Sequence[tuple[Coords, float]]) -> list[Coords]:
         return [v0]
     offsets = [tuple(map(sub, v, v0)) for v, _ in rest]
     system = [
-        [sum(map(mul, u, w)) for w in offsets]
-        + [(sum(map(mul, u, u)) + t0 * t0 - t * t) / 2.0, t - t0]
+        [math.fsum(map(mul, u, w)) for w in offsets]
+        + [(math.fsum(map(mul, u, u)) + t0 * t0 - t * t) / 2.0, t - t0]
         for u, (_, t) in zip(offsets, rest)
     ]
     solved = _solve(system, len(offsets))
     if solved is None:
         return []
-    fixed, slope = (tuple(sum(map(mul, lam, col)) for col in zip(*offsets)) for lam in solved)
-    quad = sum(map(mul, slope, slope)) - 1.0
-    half = sum(map(mul, fixed, slope)) + t0
-    const = sum(map(mul, fixed, fixed)) - t0 * t0
+    fixed, slope = (tuple(math.fsum(map(mul, lam, col)) for col in zip(*offsets)) for lam in solved)
+    quad = math.fsum(map(mul, slope, slope)) - 1.0
+    half = math.fsum(map(mul, fixed, slope)) + t0
+    const = math.fsum(map(mul, fixed, fixed)) - t0 * t0
     if quad == 0.0:
         roots = [-const / (2.0 * half)] if half else []
     else:
