@@ -24,7 +24,7 @@ from .coalition import (
     potential,
     signature,
 )
-from .geometry import MAX_DIMENSION, EuclideanMetric
+from .geometry import MAX_COORDINATE, MAX_DIMENSION, EuclideanMetric
 from .space import STATUS_QUO_ID, DeliberationSpace
 from .transitions import (
     POTENTIAL_KINDS,
@@ -287,7 +287,8 @@ class GeneratorConfig:
 
     ``mode`` is "finite" (a sampled candidate list) or "continuous".  The
     status quo sits at the origin; all coordinates are drawn uniformly from
-    [-coordinate_range, coordinate_range] and rounded to four decimals.
+    [-coordinate_range, coordinate_range] and rounded to four decimals.  In
+    continuous mode ``coordinate_range`` is at most ``MAX_COORDINATE``.
     """
 
     mode: str = "finite"
@@ -322,11 +323,12 @@ class GeneratorConfig:
                 f"in 1..{MAX_DIMENSION}, got {dims!r}"
             )
         span = self.coordinate_range
-        # points are drawn from [-span, span], whose width 2 * span must be a finite float
-        if type(span) not in (int, float) or not 0 <= span <= math.nextafter(math.inf, 0) / 2:
+        # the width 2 * span drawn from must be finite; the hull solver bounds continuous spans
+        top = MAX_COORDINATE if self.mode == "continuous" else math.nextafter(math.inf, 0) / 2
+        if type(span) not in (int, float) or not 0 <= span <= top:
             raise PolicyError(
-                f"generator field 'coordinate_range' must be a non-negative number small "
-                f"enough that 2 * coordinate_range is finite, got {span!r}"
+                f"generator field 'coordinate_range' must be a number in 0..{top:g} "
+                f"in {self.mode} mode, got {span!r}"
             )
         object.__setattr__(self, "dimensions", tuple(dims))
 

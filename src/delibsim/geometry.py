@@ -31,6 +31,7 @@ Coords = tuple[float, ...]
 PointRef = Union[Coords, str]
 
 MAX_DIMENSION = 8
+MAX_COORDINATE = 1e64  # the hull solver's normal equations overflow from about 1e77
 APPROVAL_MARGIN = 1e-9
 HULL_ITERATION_CAP = 10_000
 
@@ -135,7 +136,7 @@ class ExplicitMetric:
 Metric = Union[EuclideanMetric, ExplicitMetric]
 
 
-def _check_coords(p: Sequence[float], dimension: int) -> Coords:
+def _check_coords(p: Sequence[float], dimension: int, bound: float = math.inf) -> Coords:
     coords = tuple(float(c) for c in p)
     if len(coords) != dimension:
         raise MetricError(
@@ -143,6 +144,8 @@ def _check_coords(p: Sequence[float], dimension: int) -> Coords:
         )
     if not all(math.isfinite(c) for c in coords):
         raise MetricError("non-finite coordinate", clause="space.coords")
+    if any(abs(c) > bound for c in coords):
+        raise MetricError(f"coordinate magnitude above {bound:g}", clause="space.coords")
     return coords
 
 
@@ -189,8 +192,8 @@ def _coord_rows(points: Iterable[Sequence[float]]) -> list[Coords]:
     dimension = len(rows[0])
     if any(len(row) != dimension for row in rows):
         raise MetricError("points of mixed dimension", clause="space.dimension")
-    if not all(all(map(math.isfinite, row)) for row in rows):
-        raise MetricError("non-finite coordinate", clause="space.coords")
+    if not all(abs(c) <= MAX_COORDINATE for row in rows for c in row):
+        raise MetricError(f"coordinate non-finite or above {MAX_COORDINATE:g}", clause="space.coords")
     return rows
 
 
@@ -230,7 +233,8 @@ def _affine_minimizer(active_rows: Sequence[Coords]) -> Optional[list[float]]:
 
     In u_i = q_i - q_0 the reduced normal equations U'U lam = -U'q_0 give
     w = (1 - sum lam, lam), solved in closed form for one or two u_i, else by
-    ``_solve`` (d = 3 only); singular exactly when the rows are affinely dependent.
+    ``_solve`` (four to ``MAX_DIMENSION`` + 1 rows); singular exactly when the
+    rows are affinely dependent.
     """
     q0 = active_rows[0]
     diffs = [tuple(map(sub, q, q0)) for q in active_rows[1:]]
@@ -260,10 +264,11 @@ def nearest_point_in_hull(
     break toward the lowest input index, so the result is deterministic in
     the generator order.  Terminates finitely in exact arithmetic; a cap of
     ``HULL_ITERATION_CAP`` major cycles guards float stalls.  Empty,
-    non-finite or mixed-dimension input raises ``MetricError``.
+    non-finite or mixed-dimension input, or a coordinate above
+    ``MAX_COORDINATE`` in magnitude, raises ``MetricError``.
     """
     rows = _coord_rows(generators)
-    return _nearest_point_in_hull(_check_coords(target, len(rows[0])), rows)
+    return _nearest_point_in_hull(_check_coords(target, len(rows[0]), MAX_COORDINATE), rows)
 
 
 def _nearest_point_in_hull(tgt: Coords, rows: Sequence[Coords]) -> tuple[Coords, float]:
@@ -332,11 +337,10 @@ def separated_proposal(
     strictly approves q.  ``APPROVAL_MARGIN`` bounds h, not the approval
     slack: dist(v, r)^2 - dist(v, q)^2 is only guaranteed to reach h^2, and
     dist(v, r) - dist(v, q) only h^2 / (2 dist(v, r)), far below h when the
-    hull barely misses r.  Empty, non-finite or mixed-dimension input raises
-    ``MetricError``.
+    hull barely misses r.  Input is checked as in ``nearest_point_in_hull``.
     """
     rows = _coord_rows(agents)
-    return _separated_proposal(rows, _check_coords(status_quo, len(rows[0])))
+    return _separated_proposal(rows, _check_coords(status_quo, len(rows[0]), MAX_COORDINATE))
 
 
 def _separated_proposal(rows: Sequence[Coords], status_quo: Coords) -> Optional[Coords]:
@@ -387,9 +391,10 @@ def best_common_proposal(
     set of 1..d+1 agents, in declaration order, proposes its tangent centres,
     scored by exact slack; the first smallest wins.  Exact up to rounding in
     O(n^(d+2)); no failure path, as each agent is itself a candidate.
+    Input is checked as in ``nearest_point_in_hull``.
     """
     rows = _coord_rows(agents)
-    quo = _check_coords(status_quo, len(rows[0]))
+    quo = _check_coords(status_quo, len(rows[0]), MAX_COORDINATE)
     radii = [math.dist(v, quo) for v in rows]
     top = max(radii)
     balls = [(v, top - rho) for v, rho in zip(rows, radii)]

@@ -4,6 +4,8 @@ Locations are validated once, on construction, and each agent's distance
 to the status quo is stored then with ``distance``.  Queries work on those
 validated values: a proposal is checked by ``proposal_location`` when it
 first reaches the space, and deciding it costs one distance per agent.
+Continuous coordinates are bounded by ``MAX_COORDINATE`` for the hull
+solver; feasibility witnesses, points of the agents' hull, skip that check.
 
 A space is immutable after construction, so three memos live on it:
 
@@ -30,6 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .geometry import (
     APPROVAL_MARGIN,
+    MAX_COORDINATE,
     Coords,
     EuclideanMetric,
     FeasibilityResult,
@@ -107,6 +110,7 @@ class DeliberationSpace:
                 "continuous proposal spaces require a euclidean metric",
                 clause="space.continuous_metric",
             )
+        self._coord_bound = MAX_COORDINATE if continuous else math.inf
 
         self.status_quo = self._check_location(status_quo, "status quo")
 
@@ -154,7 +158,7 @@ class DeliberationSpace:
     def _coords(self, coords, what: str) -> Coords:
         """``geometry._check_coords`` for this space, failing with a ``SpaceError``."""
         try:
-            return _check_coords(coords, self.metric.dimension)
+            return _check_coords(coords, self.metric.dimension, self._coord_bound)
         except MetricError as exc:
             raise SpaceError(f"{what}: {exc}", clause=exc.clause) from None
 
@@ -321,8 +325,12 @@ class DeliberationSpace:
             witness = _separated_proposal([loc[v] for v in self.sort_agents(key)], self.status_quo)
         if witness is None:
             rejected.add(key)
-        elif not key <= self.approvers(witness):
-            witness = None
+        else:  # a hull point, which can pass the coordinate bound by round-off: no input check
+            approvers = self._approvers.get(witness)
+            if approvers is None:
+                approvers = self._approvers[witness] = _approving(self._dist, self._radii, witness)
+            if not key <= approvers:
+                witness = None
         self._feasibility[key] = witness
         return witness
 

@@ -106,6 +106,18 @@ class TestRunCommand:
         assert code == 2
         assert "agent 'v1': non-finite coordinate" in err
 
+    def test_large_continuous_coordinate(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"format_version": 1, "space": {"metric": "euclidean", "dimension": 1},'
+            ' "status_quo": {"coords": [0.0]}, "proposals": "continuous",'
+            ' "agents": [{"id": "v1", "coords": [1e80]}, {"id": "v2", "coords": [1.0]}]}'
+        )
+        code, _, err = run_cli(capsys, "run", "--scenario", str(path))
+        assert code == 2
+        assert "(space.coords)" in err
+        assert "agent 'v1': coordinate magnitude above 1e+64" in err
+
     @pytest.mark.parametrize("change, clause", [
         ({"space": {"metric": "euclidean", "dimension": "x"}}, "space.dimension"),
         ({"space": {"metric": "euclidean", "dimension": True}}, "space.dimension"),
@@ -322,6 +334,7 @@ class TestBatchCommand:
         ('{"coordinate_range": NaN}', "coordinate_range"),
         ('{"coordinate_range": -1.0}', "coordinate_range"),
         ('{"coordinate_range": 1e308}', "coordinate_range"),
+        ('{"mode": "continuous", "coordinate_range": 1e80}', "coordinate_range"),
     ])
     def test_bad_gen_value(self, capsys, gen, field):
         code, _, err = run_cli(capsys, "batch", "--gen", gen, "--policies", "merge")

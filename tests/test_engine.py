@@ -248,6 +248,15 @@ class TestGenerateScenario:
         space, _ = generate_scenario(GeneratorConfig(coordinate_range=span), 5)
         assert all(abs(x) <= span for _, loc in space.agents for x in loc)
 
+    def test_continuous_coordinate_range_bounded(self):
+        # 1e80 used to end in an IndexError inside the hull solver
+        with pytest.raises(PolicyError, match="'coordinate_range'"):
+            GeneratorConfig(mode="continuous", coordinate_range=1e80)
+        config = GeneratorConfig(mode="continuous", coordinate_range=1e64)
+        for seed in (1, 2, 3):
+            space, initial = generate_scenario(config, seed)
+            run(space, initial, Policy.parse("compromise", "uniform_random", seed))
+
     def test_config_dict_roundtrip(self):
         config = GeneratorConfig(mode="continuous", max_agents=6, dimensions=(1, 2))
         assert GeneratorConfig.from_dict(config.to_dict()) == config

@@ -169,6 +169,20 @@ class TestNearestPointInHull:
             nearest_point_in_hull((math.nan, 0.0), [(1.0, 1.0), (2.0, 0.5)])
         assert err.value.clause == "space.coords"
 
+    @pytest.mark.parametrize("solve", [
+        lambda big: nearest_point_in_hull((0.0, 0.0), [(big, 1.0), (2.0, 0.5)]),
+        lambda big: nearest_point_in_hull((big, 0.0), [(1.0, 1.0), (2.0, 0.5)]),
+        lambda big: separated_proposal([(1.0, 1.0), (2.0, -big)], (0.0, 0.0)),
+        lambda big: separated_proposal([(1.0, 1.0)], (0.0, big)),
+        lambda big: best_common_proposal([(big, 0.0)], (0.0, 0.0)),
+    ], ids=["hull_generator", "hull_target", "separated_agent", "separated_quo", "margin_agent"])
+    def test_coordinates_above_the_bound_rejected(self, solve):
+        # the normal equations multiply four coordinates, which overflow from about 1e77
+        with pytest.raises(MetricError) as err:
+            solve(1e80)
+        assert err.value.clause == "space.coords"
+        solve(delibsim.geometry.MAX_COORDINATE)
+
     def test_ragged_generators_rejected(self):
         ragged = [(1.0, 1.0), (2.0,)]
         for solve in (

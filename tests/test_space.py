@@ -117,6 +117,25 @@ class TestBoundaryValidation:
             assert err.value.clause == "space.coords"
         assert space.approves("v1", (-3.0, 3.0))
 
+    def test_continuous_coordinates_bounded(self):
+        # above about 1e77 the hull solver's normal equations overflow
+        big = 1e80
+        for query in (
+            lambda: line_space([1.0, big]),
+            lambda: line_space([1.0], quo=-big),
+            lambda: line_space([1.0]).approvers((big,)),
+        ):
+            with pytest.raises(SpaceError) as err:
+                query()
+            assert err.value.clause == "space.coords"
+        # finite spaces never run the solver and keep large coordinates
+        assert line_space([1e200], {"a": 1e200}).approves("v1", "a")
+
+    def test_witness_past_the_bound_by_round_off_accepted(self):
+        # the witness r + (v - r) rounds to -1.0000000000000002e64
+        report = line_space([-1e64], quo=5e63).max_support()
+        assert report.m_star == 1
+
     @pytest.mark.parametrize("kind", ["merge", "compromise", "subsume"])
     def test_forged_non_finite_target_rejected(self, space, kind):
         initial = default_initial_structure(space)
