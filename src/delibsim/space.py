@@ -4,8 +4,10 @@ Locations are validated once, on construction, and each agent's distance
 to the status quo is stored then with ``distance``.  Queries work on those
 validated values: a proposal is checked by ``proposal_location`` when it
 first reaches the space, and deciding it costs one distance per agent.
-Continuous coordinates are bounded by ``MAX_COORDINATE`` for the hull
-solver; feasibility witnesses, points of the agents' hull, skip that check.
+The agents and status quo of a continuous space, which the hull solver
+reads, are bounded by ``MAX_COORDINATE``.  Proposals are not: the solver
+never reads them, and a witness, a point of the agents' hull, can pass the
+bound by round-off.
 
 A space is immutable after construction, so three memos live on it:
 
@@ -155,10 +157,10 @@ class DeliberationSpace:
             pairs[ident] = self._check_location(loc, f"{what} {ident!r}")
         return tuple(pairs.items())
 
-    def _coords(self, coords, what: str) -> Coords:
+    def _coords(self, coords, what: str, bound: float = math.inf) -> Coords:
         """``geometry._check_coords`` for this space, failing with a ``SpaceError``."""
         try:
-            return _check_coords(coords, self.metric.dimension, self._coord_bound)
+            return _check_coords(coords, self.metric.dimension, bound)
         except MetricError as exc:
             raise SpaceError(f"{what}: {exc}", clause=exc.clause) from None
 
@@ -166,7 +168,7 @@ class DeliberationSpace:
         if isinstance(self.metric, EuclideanMetric):
             if isinstance(loc, str):
                 raise SpaceError(f"{what}: euclidean spaces use coordinates, not ids", clause="space.coords")
-            return self._coords(loc, what)
+            return self._coords(loc, what, self._coord_bound)
         if not isinstance(loc, str):
             raise SpaceError(f"{what}: explicit metrics use point ids, not coordinates", clause="space.coords")
         if loc not in self.metric._index:
@@ -325,12 +327,8 @@ class DeliberationSpace:
             witness = _separated_proposal([loc[v] for v in self.sort_agents(key)], self.status_quo)
         if witness is None:
             rejected.add(key)
-        else:  # a hull point, which can pass the coordinate bound by round-off: no input check
-            approvers = self._approvers.get(witness)
-            if approvers is None:
-                approvers = self._approvers[witness] = _approving(self._dist, self._radii, witness)
-            if not key <= approvers:
-                witness = None
+        elif not key <= self.approvers(witness):
+            witness = None
         self._feasibility[key] = witness
         return witness
 

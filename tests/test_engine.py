@@ -249,7 +249,7 @@ class TestGenerateScenario:
         assert all(abs(x) <= span for _, loc in space.agents for x in loc)
 
     def test_continuous_coordinate_range_bounded(self):
-        # 1e80 used to end in an IndexError inside the hull solver
+        # above about 1e77 the hull solver overflowed and ended in an IndexError
         with pytest.raises(PolicyError, match="'coordinate_range'"):
             GeneratorConfig(mode="continuous", coordinate_range=1e80)
         config = GeneratorConfig(mode="continuous", coordinate_range=1e64)

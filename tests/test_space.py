@@ -30,7 +30,7 @@ from delibsim import (
     separated_proposal,
 )
 
-from conftest import line_space, plane_space
+from conftest import line_space, plane_space, structure
 
 
 def tiny_explicit():
@@ -117,24 +117,24 @@ class TestBoundaryValidation:
             assert err.value.clause == "space.coords"
         assert space.approves("v1", (-3.0, 3.0))
 
-    def test_continuous_coordinates_bounded(self):
+    def test_continuous_agents_and_status_quo_bounded(self):
         # above about 1e77 the hull solver's normal equations overflow
         big = 1e80
-        for query in (
-            lambda: line_space([1.0, big]),
-            lambda: line_space([1.0], quo=-big),
-            lambda: line_space([1.0]).approvers((big,)),
-        ):
+        for build in (lambda: line_space([1.0, big]), lambda: line_space([1.0], quo=-big)):
             with pytest.raises(SpaceError) as err:
-                query()
+                build()
             assert err.value.clause == "space.coords"
-        # finite spaces never run the solver and keep large coordinates
+        # the solver never reads proposals, and finite spaces never run it
+        assert line_space([1.0]).approvers((big,)) == frozenset()
         assert line_space([1e200], {"a": 1e200}).approves("v1", "a")
 
-    def test_witness_past_the_bound_by_round_off_accepted(self):
-        # the witness r + (v - r) rounds to -1.0000000000000002e64
-        report = line_space([-1e64], quo=5e63).max_support()
-        assert report.m_star == 1
+    def test_witness_past_the_bound_by_round_off_replays(self):
+        # the merge witness r + (v - r) rounds to -1.0000000000000002e64
+        initial = structure((("v1",), (-1e64,)), (("v2",), (-1e64,)))
+        (move,) = enumerate_transitions(initial, line_space([-1e64, -1e64], quo=5e63), "merge")
+        assert abs(move.target_proposal[0]) > 1e64
+        merged = apply_transition(initial, line_space([-1e64, -1e64], quo=5e63), move)
+        assert merged[0].proposal == move.target_proposal
 
     @pytest.mark.parametrize("kind", ["merge", "compromise", "subsume"])
     def test_forged_non_finite_target_rejected(self, space, kind):
