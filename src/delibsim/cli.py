@@ -5,8 +5,8 @@ from the initial structure), ``oracle`` (max support, optional exhaustive
 reachability), ``batch`` (generated scenario sweeps to CSV), ``fixtures``
 (list or dump the builtin scenarios).
 
-Exit codes: 0 success, 1 usage error, 2 invalid scenario or structure,
-3 search cap exceeded.
+Exit codes: 0 success, 1 usage error, 2 invalid input (the message names
+the violated clause), 3 search cap exceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .coalition import CoalitionStructure, potential, signature
 from .engine import (
+    _MASK64,
     SELECTORS,
     GeneratorConfig,
     Policy,
@@ -28,9 +29,9 @@ from .engine import (
     run,
     summarize,
 )
-from .geometry import MetricError
-from .oracle import DEFAULT_STATE_CAP, OracleError, explore
-from .space import DeliberationSpace, ProposalRef, SpaceError, SubsetCapError
+from .geometry import InputError
+from .oracle import DEFAULT_STATE_CAP, explore
+from .space import DeliberationSpace, ProposalRef, SubsetCapError
 from .transitions import (
     TRANSITION_KINDS,
     Transition,
@@ -39,8 +40,7 @@ from .transitions import (
 )
 from .scenario_io import (
     FIXTURE_NAMES,
-    ScenarioFormatError,
-    ScenarioValidationError,
+    _loads,
     builtin_fixture,
     dump_scenario,
     encode_structure,
@@ -74,19 +74,23 @@ def _kind_list(text: str) -> tuple[str, ...]:
 
 
 def _seed_range(text: str) -> tuple[int, ...]:
-    """Either "A..B" (inclusive) or a comma-separated list of integers."""
+    """Either "A..B" (inclusive) or comma-separated integers; each must be a valid selector seed."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
+            seeds, ends = range(lo, hi + 1), (lo, hi)
+        else:
+            seeds = ends = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seeds must be 'A..B' or comma-separated integers, got {text!r}"
         ) from None
+    if not all(0 <= seed <= _MASK64 for seed in ends):
+        raise argparse.ArgumentTypeError(f"seeds must lie in 0..2**64-1, got {text!r}")
+    return tuple(seeds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> tuple[DeliberationSpace, CoalitionStructure]:
     if args.fixture:
         return builtin_fixture(args.fixture)
-    return load_scenario(Path(args.scenario).read_text())
+    return load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
 
 
 def _ref_text(ref: ProposalRef) -> str:
@@ -259,14 +263,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_batch(args) -> int:
     gen_text = args.gen
     if os.path.exists(gen_text):
-        gen_text = Path(gen_text).read_text()
-    try:
-        gen_data = json.loads(gen_text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"generator config is not valid JSON: {exc}") from None
-    if not isinstance(gen_data, dict):
-        raise ScenarioFormatError("generator config must be a JSON object")
-    config = GeneratorConfig.from_dict(gen_data)
+        gen_text = Path(gen_text).read_text(encoding="utf-8")
+    config = GeneratorConfig.from_dict(_loads(gen_text, "generator config"))
 
     policies = []
     for chunk in args.policies:
@@ -325,18 +323,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioFormatError, ScenarioValidationError, MetricError,
-            SpaceError, PolicyError, OracleError) as exc:
-        clause = getattr(exc, "clause", None)
-        where = f" ({clause})" if clause else ""
-        print(f"delibsim: invalid input{where}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"delibsim: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except InputError as exc:
+        clause, problem = exc.clause, exc
+    except (OSError, UnicodeDecodeError) as exc:
+        clause, problem = "file", exc
     except SubsetCapError as exc:
         print(f"delibsim: solver limit: {exc}", file=sys.stderr)
         return EXIT_CAP
+    print(f"delibsim: invalid input ({clause}): {problem}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def entry() -> None:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .space import STATUS_QUO_ID, DeliberationSpace, ProposalRef
+from .space import STATUS_QUO_ID, DeliberationSpace, ProposalRef, SpaceError
 
 Signature = tuple[int, ...]
 
@@ -133,9 +133,8 @@ def validate_structure(structure: CoalitionStructure, space: DeliberationSpace) 
 
         try:
             space.proposal_location(coalition.proposal)
-        except Exception as exc:
-            clause = getattr(exc, "clause", "structure.unknown_proposal")
-            violations.append(Violation(clause, str(exc), index, None))
+        except SpaceError as exc:
+            violations.append(Violation(exc.clause, str(exc), index, None))
             continue
         for vid in sorted(coalition.members):
             if vid in known and not space.approves(vid, coalition.proposal):

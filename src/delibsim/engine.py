@@ -24,7 +24,7 @@ from .coalition import (
     potential,
     signature,
 )
-from .geometry import MAX_COORDINATE, MAX_DIMENSION, EuclideanMetric
+from .geometry import MAX_COORDINATE, MAX_DIMENSION, EuclideanMetric, InputError
 from .space import STATUS_QUO_ID, DeliberationSpace
 from .transitions import (
     POTENTIAL_KINDS,
@@ -45,8 +45,10 @@ CLASSIFICATIONS = (CLASSIFICATION_SUCCESSFUL, CLASSIFICATION_UNSUCCESSFUL, CLASS
 _MASK64 = (1 << 64) - 1
 
 
-class PolicyError(ValueError):
-    """Malformed policy definition."""
+class PolicyError(InputError):
+    """Malformed policy, step cap or scenario generator config."""
+
+    clause = "policy"
 
 
 class EngineInvariantError(RuntimeError):
@@ -118,9 +120,9 @@ class Policy:
             raise PolicyError("policy needs at least one non-empty tier")
         check_kinds([kind for tier in tiers for kind in tier], PolicyError)
         if self.selector not in SELECTORS:
-            raise PolicyError(f"unknown selector {self.selector!r}")
+            raise PolicyError(f"unknown selector {self.selector!r}", clause="policy.selector")
         if type(self.seed) is not int or self.seed < 0 or self.seed > _MASK64:
-            raise PolicyError("seed must fit in an unsigned 64-bit integer")
+            raise PolicyError("seed must fit in an unsigned 64-bit integer", clause="policy.seed")
         object.__setattr__(self, "tiers", tiers)
 
     @classmethod
@@ -231,7 +233,7 @@ def run(
     """
     cap = default_step_cap(space) if step_cap is None else step_cap
     if type(cap) is not int or cap < 0:
-        raise PolicyError(f"step cap must be a non-negative integer, got {cap!r}")
+        raise PolicyError(f"step cap must be a non-negative integer, got {cap!r}", clause="policy.step_cap")
     rng = SplitMix64(policy.seed)
     current = initial
     measured = (potential(current), signature(current))
@@ -281,6 +283,10 @@ def run(
 _CANDIDATE_LETTERS = [c for c in string.ascii_lowercase if c != STATUS_QUO_ID]
 
 
+def _field_error(name: str, rule: str, value) -> PolicyError:
+    return PolicyError(f"generator field {name!r} must be {rule}, got {value!r}", clause="generator")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Random scenario family: agent counts, dimensions, proposal counts.
@@ -300,36 +306,26 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.mode not in ("finite", "continuous"):
-            raise PolicyError(
-                f"generator field 'mode' must be 'finite' or 'continuous', got {self.mode!r}"
-            )
+            raise _field_error("mode", "'finite' or 'continuous'", self.mode)
         for name in ("min_agents", "max_agents", "max_proposals"):
             if type(getattr(self, name)) is not int:
-                raise PolicyError(
-                    f"generator field {name!r} must be an integer, got {getattr(self, name)!r}"
-                )
+                raise _field_error(name, "an integer", getattr(self, name))
         if not (1 <= self.min_agents <= self.max_agents):
-            raise PolicyError("agent bounds must satisfy 1 <= min <= max")
+            raise PolicyError("agent bounds must satisfy 1 <= min <= max", clause="generator")
         if self.mode == "finite" and not 1 <= self.max_proposals <= len(_CANDIDATE_LETTERS):
-            raise PolicyError(f"generator field 'max_proposals' must be in 1..{len(_CANDIDATE_LETTERS)}")
+            raise _field_error("max_proposals", f"in 1..{len(_CANDIDATE_LETTERS)}", self.max_proposals)
         dims = self.dimensions
         if (
             not isinstance(dims, (list, tuple))
             or not dims
             or any(type(d) is not int or not 1 <= d <= MAX_DIMENSION for d in dims)
         ):
-            raise PolicyError(
-                f"generator field 'dimensions' must be a non-empty list of integers "
-                f"in 1..{MAX_DIMENSION}, got {dims!r}"
-            )
+            raise _field_error("dimensions", f"a non-empty list of integers in 1..{MAX_DIMENSION}", dims)
         span = self.coordinate_range
         # the width 2 * span drawn from must be finite; the hull solver bounds continuous spans
         top = MAX_COORDINATE if self.mode == "continuous" else math.nextafter(math.inf, 0) / 2
         if type(span) not in (int, float) or not 0 <= span <= top:
-            raise PolicyError(
-                f"generator field 'coordinate_range' must be a number in 0..{top:g} "
-                f"in {self.mode} mode, got {span!r}"
-            )
+            raise _field_error("coordinate_range", f"a number in 0..{top:g} in {self.mode} mode", span)
         object.__setattr__(self, "dimensions", tuple(dims))
 
     @classmethod
@@ -337,7 +333,7 @@ class GeneratorConfig:
         known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
-                raise PolicyError(f"unknown generator field {key!r}")
+                raise PolicyError(f"unknown generator field {key!r}", clause="generator")
         return cls(**data)
 
     def to_dict(self) -> dict:

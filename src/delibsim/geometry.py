@@ -39,12 +39,20 @@ _TRIANGLE_SLACK = 1e-12
 _WEIGHT_FLOOR = 1e-14
 
 
-class MetricError(ValueError):
+class InputError(ValueError):
+    """Invalid input; ``clause`` names the violated rule, by default the subclass's."""
+
+    clause = "input"
+
+    def __init__(self, message: str, clause: Optional[str] = None):
+        super().__init__(message)
+        self.clause = clause or self.clause
+
+
+class MetricError(InputError):
     """Invalid metric definition or unresolvable point reference."""
 
-    def __init__(self, message: str, clause: str = "metric"):
-        super().__init__(message)
-        self.clause = clause
+    clause = "metric"
 
 
 class SolverError(RuntimeError):
@@ -186,15 +194,10 @@ class FeasibilityResult:
 
 
 def _coord_rows(points: Iterable[Sequence[float]]) -> list[Coords]:
-    rows = [tuple(map(float, p)) for p in points]
+    rows = [tuple(p) for p in points]
     if not rows:
         raise MetricError("need a non-empty sequence of coordinate points", clause="space.coords")
-    dimension = len(rows[0])
-    if any(len(row) != dimension for row in rows):
-        raise MetricError("points of mixed dimension", clause="space.dimension")
-    if not all(abs(c) <= MAX_COORDINATE for row in rows for c in row):
-        raise MetricError(f"coordinate non-finite or above {MAX_COORDINATE:g}", clause="space.coords")
-    return rows
+    return [_check_coords(row, len(rows[0]), MAX_COORDINATE) for row in rows]
 
 
 def _solve(system: list[list[float]], size: int) -> Optional[list[list[float]]]:

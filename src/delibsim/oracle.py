@@ -1,8 +1,9 @@
 """Brute-force oracles: naive recounts and exhaustive state-graph exploration.
 
-Everything here re-derives results from raw definitions, deliberately
-ignoring the optimized paths in ``space`` and ``transitions``, so the two
-routes can be compared in tests.  Finite proposal spaces only.
+The ``naive_*`` functions re-derive results from raw definitions, ignoring
+the optimized paths in ``space`` and ``transitions``, so the two routes can
+be compared in tests; ``explore`` walks the graph those paths give
+(``enumerate_transitions``, ``apply_transition``).  Finite spaces only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .coalition import (
     potential,
     signature,
 )
-from .geometry import approves
+from .geometry import InputError, approves
 from .space import DeliberationSpace, ProposalRef, SupportReport
 from .transitions import (
     POTENTIAL_KINDS,
@@ -40,8 +41,10 @@ DEFAULT_STATE_CAP = 200_000
 _StateId = frozenset[DeliberativeCoalition]
 
 
-class OracleError(ValueError):
+class OracleError(InputError):
     """Oracle asked for something outside its scope."""
+
+    clause = "oracle"
 
 
 def _approvers(space: DeliberationSpace, ref: ProposalRef) -> frozenset[str]:
@@ -55,7 +58,7 @@ def _approvers(space: DeliberationSpace, ref: ProposalRef) -> frozenset[str]:
 def naive_max_support(space: DeliberationSpace) -> SupportReport:
     """Double loop over candidates and agents; finite spaces only."""
     if space.is_continuous:
-        raise OracleError("naive max-support needs a finite proposal list")
+        raise OracleError("naive max-support needs a finite proposal list", clause="oracle.finite")
     best = 0
     witnesses: list[str] = []
     for pid, _ in space.proposals:
@@ -84,7 +87,7 @@ def naive_transitions(
     enumerators on small finite scenarios.
     """
     if space.is_continuous:
-        raise OracleError("naive enumeration needs a finite proposal list")
+        raise OracleError("naive enumeration needs a finite proposal list", clause="oracle.finite")
     check_kinds((kind,), OracleError)
     out: list[Transition] = []
     indices = range(len(structure))
@@ -239,9 +242,11 @@ def explore(
     ``truncated`` with the partial graph retained.
     """
     if space.is_continuous:
-        raise OracleError("exploration needs a finite proposal list")
+        raise OracleError("exploration needs a finite proposal list", clause="oracle.finite")
     if type(state_cap) is not int or state_cap < 1:
-        raise OracleError(f"state cap must be an integer of at least 1, got {state_cap!r}")
+        raise OracleError(
+            f"state cap must be an integer of at least 1, got {state_cap!r}", clause="oracle.state_cap"
+        )
     check_kinds(kinds, OracleError)
 
     start = canonicalize(initial)

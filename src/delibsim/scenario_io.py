@@ -19,7 +19,7 @@ from .coalition import CoalitionStructure, validate_structure
 from .engine import (
     CLASSIFICATIONS, BatchRow, Policy, PolicyError, RunTrace, TraceStep, default_initial_structure,
 )
-from .geometry import EuclideanMetric, ExplicitMetric, MetricError
+from .geometry import EuclideanMetric, ExplicitMetric, InputError, MetricError
 from .space import DeliberationSpace, SpaceError
 from .transitions import Transition, check_kinds
 
@@ -31,20 +31,14 @@ SUMMARY_HEADER = [
 ]
 
 
-class ScenarioFormatError(ValueError):
+class ScenarioFormatError(InputError):
     """Structurally unreadable scenario/trace/summary text."""
 
-    def __init__(self, message: str, clause: str = "format"):
-        super().__init__(message)
-        self.clause = clause
+    clause = "format"
 
 
-class ScenarioValidationError(ValueError):
+class ScenarioValidationError(InputError):
     """Readable file whose contents violate a validation clause."""
-
-    def __init__(self, message: str, clause: str):
-        super().__init__(message)
-        self.clause = clause
 
 
 def _dumps(payload) -> str:
@@ -85,9 +79,9 @@ def _loads(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON ({what}): {exc}", clause="format") from None
+        raise ScenarioFormatError(f"not valid JSON ({what}): {exc}") from None
     if not isinstance(data, dict):
-        raise ScenarioFormatError(f"top level of a {what} must be an object", clause="format")
+        raise ScenarioFormatError(f"top level of a {what} must be an object")
     return data
 
 
@@ -153,11 +147,11 @@ def load_scenario(text: str) -> tuple[DeliberationSpace, CoalitionStructure]:
     _check_version(data, "scenario")
     for key in ("space", "status_quo", "agents", "proposals"):
         if key not in data:
-            raise ScenarioFormatError(f"scenario is missing {key!r}", clause="format")
+            raise ScenarioFormatError(f"scenario is missing {key!r}")
 
     space_block = data["space"]
     if not isinstance(space_block, dict) or "metric" not in space_block:
-        raise ScenarioFormatError("space block needs a 'metric' field", clause="format")
+        raise ScenarioFormatError("space block needs a 'metric' field")
     metric_kind = space_block["metric"]
     try:
         if metric_kind == "euclidean":
@@ -248,8 +242,7 @@ def _decode_structure(entries, what: str) -> CoalitionStructure:
         isinstance(e, dict) and "proposal" in e and "members" in e for e in entries
     ):
         raise ScenarioFormatError(
-            f"{what} must be a list of coalitions, each with 'proposal' and 'members'",
-            clause="format",
+            f"{what} must be a list of coalitions, each with 'proposal' and 'members'"
         )
     return CoalitionStructure.from_pairs(
         (_agent_set(e["members"], f"{what} members"), _decode_point(e["proposal"], what, "id"))
@@ -299,9 +292,7 @@ def write_trace(trace: RunTrace) -> str:
 
 def _agent_set(value, what: str) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ScenarioFormatError(
-            f"{what} must be a list of agent ids, got {value!r}", clause="format"
-        )
+        raise ScenarioFormatError(f"{what} must be a list of agent ids, got {value!r}")
     return frozenset(value)
 
 
@@ -347,9 +338,9 @@ def read_trace(text: str) -> RunTrace:
         )
     except (KeyError, TypeError) as exc:
         problem = "is missing field" if isinstance(exc, KeyError) else "has a field of the wrong shape:"
-        raise ScenarioFormatError(f"trace {problem} {exc}", clause="format") from None
+        raise ScenarioFormatError(f"trace {problem} {exc}") from None
     except PolicyError as exc:
-        raise ScenarioFormatError(f"trace policy: {exc}", clause="format") from None
+        raise ScenarioFormatError(f"trace policy: {exc}") from None
 
 
 # -- summaries --------------------------------------------------------------------
@@ -374,16 +365,14 @@ def read_summary(text: str) -> list[BatchRow]:
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or rows[0] != SUMMARY_HEADER:
-        raise ScenarioFormatError(
-            f"summary header mismatch: {rows[0] if rows else 'empty file'}", clause="format"
-        )
+        raise ScenarioFormatError(f"summary header mismatch: {rows[0] if rows else 'empty file'}")
     out = []
     for raw in rows[1:]:
         if len(raw) != len(SUMMARY_HEADER):
-            raise ScenarioFormatError(f"summary row has {len(raw)} fields", clause="format")
+            raise ScenarioFormatError(f"summary row has {len(raw)} fields")
         if raw[6] not in CLASSIFICATIONS or not all(raw[i].isdecimal() for i in (0, 1, 2, 5, 7, 8)):
             raise ScenarioFormatError(
-                f"summary row needs integer counts and a known classification: {raw}", clause="format"
+                f"summary row needs integer counts and a known classification: {raw}"
             )
         out.append(
             BatchRow(

@@ -38,6 +38,7 @@ from .geometry import (
     Coords,
     EuclideanMetric,
     FeasibilityResult,
+    InputError,
     Metric,
     MetricError,
     _check_coords,
@@ -54,12 +55,10 @@ ProposalRef = Union[str, Coords]
 PointRefLike = Union[str, Sequence]
 
 
-class SpaceError(ValueError):
+class SpaceError(InputError):
     """Invalid space definition or unsupported query."""
 
-    def __init__(self, message: str, clause: str = "space"):
-        super().__init__(message)
-        self.clause = clause
+    clause = "space"
 
 
 class SubsetCapError(RuntimeError):

@@ -53,6 +53,15 @@ class TestUsageErrors:
             main(["batch", "--policies", "merge", "--seeds", "9..1"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("seeds", ["0,-1", "-1..2", f"{2**64 - 1}..{2**64}"])
+    def test_seed_outside_u64_is_refused_before_any_run(self, capsys, tmp_path, seeds):
+        out_path = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["batch", "--policies", "follow", f"--seeds={seeds}", "--out", str(out_path)])
+        assert err.value.code == 1
+        assert "0..2**64-1" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestRunCommand:
     def test_text_output(self, capsys):
@@ -340,6 +349,40 @@ class TestBatchCommand:
         code, _, err = run_cli(capsys, "batch", "--gen", gen, "--policies", "merge")
         assert code == 2
         assert f"'{field}'" in err
+
+
+class TestRefusalsNameAClause:
+    """Every input the program refuses exits 2 and names the violated clause."""
+
+    @pytest.mark.parametrize("argv, clause", [
+        (["run", "--fixture", "example1", "--policy", "foo"], "policy"),
+        (["run", "--fixture", "example1", "--step-cap", "-1"], "policy.step_cap"),
+        (["run", "--fixture", "example1", "--seed", "-1"], "policy.seed"),
+        (["run", "--scenario", "/nope/missing.json"], "file"),
+        (["run", "--scenario", "LATIN1"], "file"),
+        (["batch", "--gen", "LATIN1", "--policies", "merge"], "file"),
+        (["batch", "--gen", '{"foo": 1}', "--policies", "merge"], "generator"),
+        (["batch", "--gen", "[]", "--policies", "merge"], "format"),
+        (["batch", "--gen", '{"mode": "continuous", "coordinate_range": 1e80}',
+          "--policies", "compromise"], "generator"),
+        (["oracle", "--fixture", "example1", "--explore", "--state-cap", "0"], "oracle.state_cap"),
+        (["oracle", "--scenario", "CONTINUOUS", "--explore"], "oracle.finite"),
+        (["run", "--scenario", "BIG"], "space.coords"),
+    ])
+    def test_exit_2_with_clause(self, capsys, tmp_path, argv, clause):
+        files = {
+            "CONTINUOUS": dump_scenario(line_space([1.0, 2.0])),
+            "BIG": dump_scenario(line_space([1.0, 2.0])).replace("2.0", "1e80"),
+            "LATIN1": '{"mode": "finite", "caf\xe9": 1}',
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="latin-1")
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"delibsim: invalid input ({clause}): ")
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestFixturesCommand:
