@@ -1,10 +1,11 @@
 """Deliberation runner: policies, seeded selection, scenario generation, batches.
 
-A policy is an ordered list of kind tiers.  Each step enumerates the highest
-tier that offers any transition and selects one, either the first enumerated
-or a uniform draw from the in-package SplitMix64 generator (so traces
-reproduce bit for bit from a 64-bit seed, in any implementation of the same
-algorithm).  Runs are maximal: they stop only when no allowed transition
+A policy is an ordered list of kind tiers.  Each step counts the moves of
+the highest tier that offers any (``transitions.candidates``) and draws an
+index into that count, either 0 (the first enumerated) or a uniform draw
+from the in-package SplitMix64 generator (so traces reproduce bit for bit
+from a 64-bit seed, in any implementation of the same algorithm); only the
+drawn move is built as a ``Transition``.  Runs are maximal: they stop only when no allowed transition
 exists or the step cap trips, and the two outcomes are reported distinctly.
 """
 
@@ -31,8 +32,9 @@ from .transitions import (
     SIGNATURE_KINDS,
     Transition,
     apply_transition,
+    candidates,
     check_kinds,
-    enumerate_transitions,
+    enumerate_transitions,  # noqa: F401 (re-exported for bench/tracer.py)
 )
 
 SELECTORS = ("uniform_random", "first_enumerated")
@@ -226,6 +228,8 @@ def run(
 ) -> RunTrace:
     """Run a maximal deliberation under the policy from the initial structure.
 
+    Each step draws an index into the count of ``candidates`` and builds
+    only that move's ``Transition``, which ``apply_transition`` revalidates.
     Every step is checked against the monotonicity guarantees of its kind
     (potential gain of at least 2 for single_agent/follow/merge/subsume,
     strict signature increase for compromise/subsume); a violation aborts
@@ -241,13 +245,8 @@ def run(
     classification: str
 
     while True:
-        candidates: list[Transition] = []
-        for tier in policy.tiers:
-            for kind in tier:
-                candidates.extend(enumerate_transitions(current, space, kind))
-            if candidates:
-                break
-        if not candidates:
+        total, entries = candidates(current, space, policy.tiers)
+        if not total:
             classification = (
                 CLASSIFICATION_SUCCESSFUL
                 if is_successful(current, space)
@@ -257,10 +256,12 @@ def run(
         if len(steps) >= cap:
             classification = CLASSIFICATION_STEP_CAP
             break
-        if policy.selector == "first_enumerated":
-            chosen = candidates[0]
-        else:
-            chosen = candidates[rng.randbelow(len(candidates))]
+        index = 0 if policy.selector == "first_enumerated" else rng.randbelow(total)
+        for kind, sources, moves in entries:
+            if index < len(moves):
+                break
+            index -= len(moves)
+        chosen = Transition(kind, sources, *moves[index])
         after = apply_transition(current, space, chosen)
         after_measured = (potential(after), signature(after))
         _check_step_invariants(chosen, measured, after_measured)

@@ -3,7 +3,8 @@
 The ``naive_*`` functions re-derive results from raw definitions, ignoring
 the optimized paths in ``space`` and ``transitions``, so the two routes can
 be compared in tests; ``explore`` walks the graph those paths give
-(``enumerate_transitions``, ``apply_transition``).  Finite spaces only.
+(``candidates``) and applies only the edges that reach a new state.
+Finite spaces only.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .transitions import (
     SIGNATURE_KINDS,
     Transition,
     apply_transition,
+    candidates,
     check_kinds,
-    enumerate_transitions,
+    created_coalitions,
+    enumerate_transitions,  # noqa: F401 (re-exported for bench/tracer.py)
 )
 
 DEFAULT_STATE_CAP = 200_000
@@ -234,11 +237,13 @@ def explore(
 
     A structure partitions the agents, so the set of its non-empty
     coalitions identifies its canonical form, and the search deduplicates
-    states on that set.  A state is canonicalized and its potential and
-    signature computed once, when it is first reached; every later edge
-    into it reads them back.  The ``canonical_key`` strings of the report
-    are built once per visited state, after the search.  Each kind may be
-    listed once.  The cap bounds visited states and a capped search reports
+    states on that set.  An edge's successor id is the state id less the
+    pair plus the move's non-empty ``created_coalitions``.  Only an edge to
+    a new id builds and applies its ``Transition`` (so every reached state
+    is revalidated) and measures the successor, once, also when the cap
+    drops it.  The report's ``canonical_key`` strings are built once per
+    visited state, after the search.  The kinds form one tier, each listed
+    once.  The cap bounds visited states and a capped search reports
     ``truncated`` with the partial graph retained.
     """
     if space.is_continuous:
@@ -268,36 +273,37 @@ def explore(
     while queue:
         state_id = queue.popleft()
         state = structures[state_id]
-        moves: list[Transition] = []
-        for kind in kinds:
-            moves.extend(enumerate_transitions(state, space, kind))
-        if not moves:
+        total, entries = candidates(state, space, (kinds,))
+        if not total:
             ok = is_successful(state, space)
             terminals.append((state_id, ok))
             if not ok and first_unsuccessful is None:
                 first_unsuccessful = state_id
             continue
         state_potential, state_signature = measures[state_id]
-        for move in moves:
-            successor = apply_transition(state, space, move)
-            edges += 1
-            # apply_transition drops empty coalitions, so this is the state id.
-            successor_id = frozenset(successor)
-            measured = measures.get(successor_id)
-            if measured is None:
-                measured = (potential(successor), signature(successor))
-                if len(structures) >= state_cap:
-                    truncated = True
-                else:
-                    structures[successor_id] = canonicalize(successor)
-                    measures[successor_id] = measured
-                    parents[successor_id] = (state_id, move)
-                    queue.append(successor_id)
-            successor_potential, successor_signature = measured
-            if move.kind in POTENTIAL_KINDS and successor_potential <= state_potential:
-                potential_monotone = False
-            if move.kind in SIGNATURE_KINDS and not lex_less(state_signature, successor_signature):
-                signature_monotone = False
+        for kind, sources, moves in entries:
+            src, dst = state[sources[0]], state[sources[1]]
+            rest = state_id - {src, dst}
+            for target, movers in moves:
+                edges += 1
+                # apply_transition keeps the other coalitions and drops empty ones
+                successor_id = rest.union(c for c in created_coalitions(kind, src, dst, target, movers) if c.size)
+                measured = measures.get(successor_id)
+                if measured is None:
+                    move = Transition(kind, sources, target, movers)
+                    successor = apply_transition(state, space, move)
+                    measured = measures[successor_id] = (potential(successor), signature(successor))
+                    if len(structures) >= state_cap:
+                        truncated = True
+                    else:
+                        structures[successor_id] = canonicalize(successor)
+                        parents[successor_id] = (state_id, move)
+                        queue.append(successor_id)
+                successor_potential, successor_signature = measured
+                if kind in POTENTIAL_KINDS and successor_potential <= state_potential:
+                    potential_monotone = False
+                if kind in SIGNATURE_KINDS and not lex_less(state_signature, successor_signature):
+                    signature_monotone = False
 
     witness: Optional[tuple[Transition, ...]] = None
     if first_unsuccessful is not None:

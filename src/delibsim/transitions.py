@@ -1,10 +1,16 @@
 """The five coalition transition operators: enumeration and application.
 
-Enumeration returns every available transition of a kind from a structure,
-in a deterministic order.  A move of a source coalition of ``s`` members
-and a destination of ``t`` members to a target proposal is judged by how
-many members of each approve the target, ``a`` and ``b``.  The move is
-legal when, by kind (``_legal`` is the one place this is written):
+``candidates`` walks the space's move memo once per structure: the
+``(kind, sources, moves)`` pair entries of a policy's highest non-empty
+tier, in a deterministic order, and their move count.  ``engine.run`` draws
+one move from them, ``oracle.explore`` walks them and
+``enumerate_transitions`` flattens them.  ``created_coalitions`` gives what
+a move leaves in place of its pair.
+
+A move of a source coalition of ``s`` members and a destination of ``t``
+members to a target proposal is judged by how many members of each approve
+the target, ``a`` and ``b``.  The move is legal when, by kind (``_legal``
+is the one place this is written):
 
     single_agent   a >= 1 and t >= s
     follow         a == s
@@ -91,15 +97,6 @@ class Transition(NamedTuple):
     @property
     def moving_agents(self) -> frozenset[str]:
         return frozenset().union(*self.movers)
-
-
-def _active_indices(structure: CoalitionStructure) -> list[int]:
-    """Indices of non-empty coalitions that do not support the status quo."""
-    return [
-        i
-        for i, c in enumerate(structure)
-        if c.size > 0 and not c.supports_status_quo
-    ]
 
 
 def _legal(kind: str, a: int, b: int, s: int, t: int) -> bool:
@@ -196,9 +193,9 @@ def _pair_moves(
     if not space.is_continuous:
         counts_i, reach_i, full_i = space.profile(src.members)
         counts_j, reach_j, full_j = space.profile(dst.members)
-        candidates = space._candidate_ids
+        candidate_ids = space._candidate_ids
         if kind in ("single_agent", "follow"):
-            bits = 1 << candidates.index(dst.proposal)
+            bits = 1 << candidate_ids.index(dst.proposal)
         elif kind == "merge":
             bits = full_i & full_j
         elif kind == "compromise":
@@ -209,7 +206,7 @@ def _pair_moves(
             k = (bits & -bits).bit_length() - 1
             bits &= bits - 1
             if _legal(kind, counts_i[k], counts_j[k], src.size, dst.size):
-                pid = candidates[k]
+                pid = candidate_ids[k]
                 for movers in _legal_movers(kind, src, dst, space, pid):
                     found.append((pid, movers))
         return tuple(found)
@@ -222,34 +219,45 @@ def _pair_moves(
     return tuple(found)
 
 
+def candidates(
+    structure: CoalitionStructure, space: DeliberationSpace, tiers: Sequence[Sequence[str]]
+) -> tuple[int, list[tuple[str, tuple[int, int], tuple[Move, ...]]]]:
+    """The moves of the highest tier that has any: their count and their pairs' memo entries.
+
+    Entries are ``(kind, sources, moves)`` for the pairs with a move, in
+    enumeration order: kinds in tier order, then pairs of the non-empty
+    coalitions off the status quo, unordered for merge and compromise and
+    ordered for the other kinds.  A pair's moves are derived by
+    ``_pair_moves`` the first time it is met.
+    """
+    active = [i for i, c in enumerate(structure) if c.size > 0 and not c.supports_status_quo]
+    memo = space._moves
+    for tier in tiers:
+        total, entries = 0, []
+        for kind in tier:
+            pairs = itertools.combinations if kind in ("merge", "compromise") else itertools.permutations
+            for sources in pairs(active, 2):
+                i, j = sources
+                src, dst = structure[i], structure[j]
+                key = (kind, src, dst)
+                moves = memo.get(key)
+                if moves is None:
+                    moves = memo[key] = _pair_moves(kind, src, dst, space)
+                if moves:
+                    entries.append((kind, sources, moves))
+                    total += len(moves)
+        if total:
+            return total, entries
+    return 0, []
+
+
 def enumerate_transitions(
     structure: CoalitionStructure, space: DeliberationSpace, kind: str
 ) -> list[Transition]:
-    """Every available transition of one kind, in a deterministic order.
-
-    Merge and compromise take unordered pairs of coalitions, the other kinds
-    ordered ones.  Each pair's moves are read from the space's memo, and
-    derived by ``_pair_moves`` the first time the pair is met.
-    """
+    """Every available transition of one kind, in a deterministic order: ``candidates``, flattened."""
     check_kinds((kind,))
-    out: list[Transition] = []
-    active = _active_indices(structure)
-    pairs = (
-        itertools.combinations(active, 2)
-        if kind in ("merge", "compromise")
-        else itertools.permutations(active, 2)
-    )
-    memo = space._moves
-    for sources in pairs:
-        i, j = sources
-        src, dst = structure[i], structure[j]
-        key = (kind, src, dst)
-        moves = memo.get(key)
-        if moves is None:
-            moves = memo[key] = _pair_moves(kind, src, dst, space)
-        for target, movers in moves:
-            out.append(Transition(kind, sources, target, movers))
-    return out
+    _, entries = candidates(structure, space, ((kind,),))
+    return [Transition(kind, sources, *move) for _, sources, moves in entries for move in moves]
 
 
 def _stale(t: Transition, reason: str) -> StaleTransitionError:
@@ -281,6 +289,27 @@ def _revalidate(
     return src, dst
 
 
+def created_coalitions(
+    kind: str, src: DeliberativeCoalition, dst: DeliberativeCoalition, target: ProposalRef, movers: tuple
+) -> tuple[DeliberativeCoalition, ...]:
+    """The coalitions a move leaves where ``src`` and ``dst`` were, empty ones included.
+
+    Single_agent and follow give the new pair, merge the union, and
+    compromise and subsume both leftovers and then the new coalition.
+    """
+    movers_i, movers_j = movers
+    coalition = DeliberativeCoalition
+    if kind == "merge":
+        return (coalition(src.members | dst.members, target),)
+    if kind in ("single_agent", "follow"):
+        return coalition(src.members - movers_i, src.proposal), coalition(dst.members | movers_i, dst.proposal)
+    return (
+        coalition(src.members - movers_i, src.proposal),
+        coalition(dst.members - movers_j, dst.proposal),
+        coalition(movers_i | movers_j, target),
+    )
+
+
 def apply_transition(
     structure: CoalitionStructure, space: DeliberationSpace, t: Transition
 ) -> CoalitionStructure:
@@ -293,19 +322,11 @@ def apply_transition(
     """
     src, dst = _revalidate(structure, space, t)
     i, j = t.sources
-    movers_i, movers_j = t.movers
-    coalition = DeliberativeCoalition
+    created = created_coalitions(t.kind, src, dst, t.target_proposal, t.movers)
     new_list: list[Optional[DeliberativeCoalition]] = list(structure)
-
-    if t.kind in ("single_agent", "follow"):
-        new_list[i] = coalition(src.members - movers_i, src.proposal)
-        new_list[j] = coalition(dst.members | movers_i, dst.proposal)
-    elif t.kind == "merge":
-        new_list[min(i, j)] = coalition(src.members | dst.members, t.target_proposal)
-        new_list[max(i, j)] = None
-    else:  # compromise and subsume share the frame
-        new_list[i] = coalition(src.members - movers_i, src.proposal)
-        new_list[j] = coalition(dst.members - movers_j, dst.proposal)
-        new_list.append(coalition(movers_i | movers_j, t.target_proposal))
-
+    if t.kind == "merge":
+        new_list[min(i, j)], new_list[max(i, j)] = created[0], None
+    else:
+        new_list[i], new_list[j] = created[:2]
+        new_list.extend(created[2:])
     return CoalitionStructure([c for c in new_list if c is not None and c.size > 0])

@@ -13,15 +13,22 @@ from delibsim import (
     GeneratorConfig,
     Policy,
     PolicyError,
+    RunTrace,
     SplitMix64,
+    TraceStep,
+    apply_transition,
     batch,
     builtin_fixture,
     default_initial_structure,
     default_step_cap,
+    enumerate_transitions,
     generate_scenario,
+    is_successful,
     potential,
     run,
+    signature,
     summarize,
+    write_trace,
 )
 from delibsim import engine
 
@@ -192,6 +199,48 @@ class TestRun:
         space, init = builtin_fixture(name)
         with pytest.raises(EngineInvariantError, match=f"^{kind} step"):
             run(space, init, Policy.parse(kind))
+
+
+def _listing_run(space, initial, policy):
+    """A run that lists every move of the highest non-empty tier, then indexes the list."""
+    rng = SplitMix64(policy.seed)
+    cap = default_step_cap(space)
+    current, steps = initial, []
+    while True:
+        for tier in policy.tiers:
+            moves = [t for kind in tier for t in enumerate_transitions(current, space, kind)]
+            if moves:
+                break
+        if not moves:
+            classification = "successful" if is_successful(current, space) else "unsuccessful"
+            break
+        if len(steps) >= cap:
+            classification = "step_cap_reached"
+            break
+        chosen = moves[0] if policy.selector == "first_enumerated" else moves[rng.randbelow(len(moves))]
+        current = apply_transition(current, space, chosen)
+        steps.append(TraceStep(len(steps), chosen, potential(current), signature(current)))
+    return RunTrace("inline", policy, cap, initial, tuple(steps), current, classification)
+
+
+@pytest.mark.parametrize("selector", engine.SELECTORS)
+@pytest.mark.parametrize("mode, text", [
+    ("finite", "single_agent,follow,merge,compromise,subsume"),
+    ("finite", "merge>follow>single_agent"),
+    ("continuous", "compromise"),
+    ("continuous", "subsume>compromise"),
+])
+def test_run_draws_what_a_listing_run_draws(mode, text, selector):
+    # Each side gets its own copy of the space, so neither reads the other's memo.
+    config = GeneratorConfig(mode=mode, min_agents=2, max_agents=8)
+    steps = 0
+    for seed in range(1, 21):
+        policy = Policy.parse(text, selector, seed)
+        drawn = run(*generate_scenario(config, seed), policy)
+        listed = _listing_run(*generate_scenario(config, seed), policy)
+        assert write_trace(drawn) == write_trace(listed), seed
+        steps += len(drawn.steps)
+    assert steps > 20
 
 
 class TestGenerateScenario:

@@ -139,7 +139,8 @@ class TestExplore:
                 explore(space, init, TRANSITION_KINDS, state_cap=cap)
 
     def test_step_that_changes_nothing_is_not_monotone(self, monkeypatch):
-        monkeypatch.setattr(oracle, "apply_transition", lambda structure, space, t: structure)
+        # Every move then leads back to the state it leaves.
+        monkeypatch.setattr(oracle, "created_coalitions", lambda kind, src, dst, target, movers: (src, dst))
         space, init = builtin_fixture("example3")
         report = explore(space, init, ("merge",))
         assert not report.potential_monotone
@@ -155,9 +156,9 @@ class TestExplore:
 
     @pytest.mark.parametrize("state_cap", [oracle.DEFAULT_STATE_CAP, 20])
     def test_work_per_state_and_edge(self, monkeypatch, state_cap):
-        # Keys are built once per visited state and measures once per state
-        # reached, while every edge is still applied, and so revalidated.
-        # A successor the cap drops is measured on each edge into it.
+        # Keys are built once per visited state.  A successor is applied, and
+        # so revalidated, and measured once, on the first edge that reaches
+        # it, whether the cap keeps it or drops it; the start is measured too.
         config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
         calls = {}
         successors = []
@@ -184,11 +185,13 @@ class TestExplore:
             calls.clear()
             successors.clear()
             report = explore(space, init, TRANSITION_KINDS, state_cap=state_cap)
+            reached = {frozenset(s) for s in successors}
             dropped = sum(canonical_key(s) not in report.structures for s in successors)
+            assert len(reached) == len(successors) == report.states_visited - 1 + dropped, seed
             assert calls["canonical_key"] == report.states_visited, seed
-            assert calls["apply_transition"] == report.edges, seed
-            assert calls["potential"] <= report.states_visited + dropped, seed
-            assert calls["signature"] <= report.states_visited + dropped, seed
+            assert calls["potential"] == calls["signature"] == len(successors) + 1, seed
+            assert len(successors) < report.edges, seed
+            assert bool(dropped) == report.truncated, seed
             truncated += report.truncated
         assert truncated == (state_cap == 20) * 3
 

@@ -20,6 +20,7 @@ from delibsim import (
     apply_transition,
     builtin_fixture,
     enumerate_transitions,
+    explore,
     generate_scenario,
     run,
 )
@@ -536,3 +537,38 @@ class TestTransitionTuples:
         assert merge.sources == (0, 1)
         with pytest.raises(TransitionError, match="source indices must be integers"):
             apply_transition(init, space, merge._replace(sources=sources))
+
+
+class TestCandidates:
+    """``candidates`` is the one step relation: the engine draws from it, explore walks it."""
+
+    def test_matches_enumeration_and_application_on_every_explored_state(self):
+        config = GeneratorConfig(mode="finite", max_agents=6, max_proposals=5)
+        policies = ((TRANSITION_KINDS,), Policy.parse("merge>follow>single_agent").tiers)
+        edges = 0
+        for seed in range(1, 41):
+            space, init = generate_scenario(config, seed)
+            for state in explore(space, init, TRANSITION_KINDS).structures.values():
+                state_id = frozenset(state)
+                for tiers in policies:
+                    total, entries = transitions.candidates(state, space, tiers)
+                    listed = []
+                    for tier in tiers:
+                        listed = [t for kind in tier for t in enumerate_transitions(state, space, kind)]
+                        if listed:
+                            break
+                    flat = [
+                        Transition(kind, sources, target, movers)
+                        for kind, sources, moves in entries
+                        for target, movers in moves
+                    ]
+                    assert (flat, total) == (listed, len(listed)), seed
+                    assert all(moves for _, _, moves in entries), seed
+                    for kind, (i, j), moves in entries:
+                        rest = state_id - {state[i], state[j]}
+                        for target, movers in moves:
+                            created = transitions.created_coalitions(kind, state[i], state[j], target, movers)
+                            successor = apply_transition(state, space, Transition(kind, (i, j), target, movers))
+                            assert rest | {c for c in created if c.size} == frozenset(successor), seed
+                            edges += 1
+        assert edges > 1000
